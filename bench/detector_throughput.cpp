@@ -7,16 +7,14 @@
 // vector-clock happens-before detector (the paper's choice), the
 // FastTrack-style epoch detector (PLDI 2009's answer to vector-clock
 // cost, §6.1's [8]-adjacent line of work), and the Eraser-style lockset
-// baseline. Reported as events/second over the identical replay.
+// baseline — plus the streaming OnlineDetector sink, whose report must be
+// byte-identical to the batch happens-before one (the exit status says
+// whether it was). Reported as events/second over the identical replay.
 //
-// Then sweeps the sharded happens-before pipeline (docs/DETECTOR.md) over
-// shards ∈ {1, 2, 4, 8} on the same trace, verifying the merged report is
-// byte-identical to the serial one at every width and reporting the
-// speedup trajectory. With --json[=PATH] both the backend comparison and
-// the shard sweep are written as JSON (default
+// With --json[=PATH] the comparison is written as JSON (default
 // BENCH_detector_throughput.json) so successive PRs can track the
 // trajectory with tools/bench-compare. LITERACE_REPEATS>1 takes the best
-// of N timings per backend and per width.
+// of N timings per backend.
 //
 //===----------------------------------------------------------------------===//
 
@@ -24,13 +22,11 @@
 #include "detector/HBDetector.h"
 #include "detector/LocksetDetector.h"
 #include "detector/OnlineDetector.h"
-#include "detector/ShardedDetector.h"
 #include "harness/DetectionExperiment.h"
 #include "harness/Tables.h"
 #include "support/TableFormatter.h"
 #include "support/Timer.h"
 
-#include <algorithm>
 #include <cstdio>
 #include <cstring>
 #include <string>
@@ -50,17 +46,8 @@ struct BackendPoint {
   size_t RacyAddrs = 0;
   double Seconds = 0.0;
   double EventsPerSec = 0.0;
-};
-
-struct SweepPoint {
-  unsigned Shards = 1;
-  double Seconds = 0.0;
-  double EventsPerSec = 0.0;
-  double Speedup = 1.0;
-  size_t StaticRaces = 0;
-  /// Pipeline telemetry per shard, from the fastest repeat (empty for
-  /// the serial width, which has no queues).
-  std::vector<ShardedHBDetector::ShardTelemetry> ShardStats;
+  /// Rendered report of the last repeat.
+  std::string Text;
 };
 
 } // namespace
@@ -101,6 +88,7 @@ int main(int Argc, char **Argv) {
         P.Seconds = Seconds;
       P.Races = Report.numStaticRaces();
       P.RacyAddrs = Report.racyAddresses().size();
+      P.Text = Report.describe();
     }
     P.EventsPerSec = static_cast<double>(T.totalEvents()) / P.Seconds;
     Backends.push_back(P);
@@ -129,89 +117,11 @@ int main(int Argc, char **Argv) {
           });
   Table.print();
 
-  // --- Sharded HB sweep -------------------------------------------------
-  RaceReport SerialReport;
-  if (!detectRaces(T, SerialReport))
-    std::fprintf(stderr, "warning: serial replay saw an inconsistent log\n");
-  const std::string SerialText = SerialReport.describe();
-
-  std::vector<SweepPoint> Sweep;
-  double SerialSeconds = 0.0;
-  bool Identical = true;
-  for (unsigned Shards : {1u, 2u, 4u, 8u}) {
-    DetectorOptions Options;
-    Options.Shards = Shards;
-    double Best = 0.0;
-    size_t Races = 0;
-    std::vector<ShardedHBDetector::ShardTelemetry> BestStats;
-    for (unsigned Rep = 0; Rep != (Repeats == 0 ? 1 : Repeats); ++Rep) {
-      RaceReport Report;
-      std::vector<ShardedHBDetector::ShardTelemetry> Stats;
-      WallTimer Timer;
-      bool Ok;
-      if (Shards <= 1) {
-        Ok = detectRaces(T, Report, ReplayOptions(), Options);
-      } else {
-        // Explicit form of the same pipeline detectRaces runs, so the
-        // per-shard queue telemetry can be read off afterwards.
-        ShardedHBDetector Detector(Options);
-        Ok = replayTrace(T, Detector);
-        Detector.finish(Report);
-        for (unsigned S = 0; S != Detector.numShards(); ++S)
-          Stats.push_back(Detector.shardTelemetry(S));
-      }
-      double Seconds = Timer.seconds();
-      if (!Ok)
-        std::fprintf(stderr, "warning: %u-shard replay inconsistent\n",
-                     Shards);
-      if (Report.describe() != SerialText) {
-        std::fprintf(stderr,
-                     "ERROR: %u-shard report differs from serial output\n",
-                     Shards);
-        Identical = false;
-      }
-      Races = Report.numStaticRaces();
-      if (Rep == 0 || Seconds < Best) {
-        Best = Seconds;
-        BestStats = std::move(Stats);
-      }
-    }
-    if (Shards == 1)
-      SerialSeconds = Best;
-    SweepPoint P;
-    P.Shards = Shards;
-    P.Seconds = Best;
-    P.EventsPerSec = static_cast<double>(T.totalEvents()) / Best;
-    P.Speedup = SerialSeconds / Best;
-    P.StaticRaces = Races;
-    P.ShardStats = std::move(BestStats);
-    Sweep.push_back(P);
-  }
-
-  TableFormatter Shards("Sharded happens-before sweep (byte-identical "
-                        "reports at every width)");
-  Shards.addRow({"Shards", "Races", "Time", "M events/s", "Speedup",
-                 "Queue HW", "Parks p/c"});
-  for (const SweepPoint &P : Sweep) {
-    size_t QueueHw = 0;
-    uint64_t ProdParks = 0;
-    uint64_t ConsParks = 0;
-    for (const auto &S : P.ShardStats) {
-      QueueHw = std::max(QueueHw, S.QueueDepthHighWater);
-      ProdParks += S.ProducerParks;
-      ConsParks += S.ConsumerParks;
-    }
-    Shards.addRow({std::to_string(P.Shards), std::to_string(P.StaticRaces),
-                   TableFormatter::num(P.Seconds, 3) + "s",
-                   TableFormatter::num(P.EventsPerSec / 1e6, 1),
-                   TableFormatter::num(P.Speedup, 2) + "x",
-                   P.ShardStats.empty() ? "-" : std::to_string(QueueHw),
-                   P.ShardStats.empty()
-                       ? "-"
-                       : std::to_string(ProdParks) + "/" +
-                             std::to_string(ConsParks)});
-  }
-  Shards.print();
+  // The online sink drives the same HBDetector, so its report must
+  // match the batch one byte for byte.
+  const bool Identical = Backends.front().Text == Backends.back().Text;
+  if (!Identical)
+    std::fprintf(stderr, "ERROR: online report differs from batch output\n");
   std::fprintf(stderr, "host cores: %u\n",
                std::thread::hardware_concurrency());
 
@@ -237,27 +147,6 @@ int main(int Argc, char **Argv) {
                    "\"racy_addrs\": %zu}%s\n",
                    P.Label, P.Seconds, P.EventsPerSec, P.Races, P.RacyAddrs,
                    I + 1 == Backends.size() ? "" : ",");
-    }
-    std::fprintf(File, "  ],\n  \"sweep\": [\n");
-    for (size_t I = 0; I != Sweep.size(); ++I) {
-      const SweepPoint &P = Sweep[I];
-      std::fprintf(File,
-                   "    {\"shards\": %u, \"seconds\": %.6f, "
-                   "\"events_per_sec\": %.1f, \"speedup\": %.3f, "
-                   "\"static_races\": %zu,\n     \"shard_queues\": [",
-                   P.Shards, P.Seconds, P.EventsPerSec, P.Speedup,
-                   P.StaticRaces);
-      for (size_t S = 0; S != P.ShardStats.size(); ++S) {
-        const auto &Q = P.ShardStats[S];
-        std::fprintf(File,
-                     "%s{\"depth_highwater\": %zu, "
-                     "\"producer_parks\": %llu, "
-                     "\"consumer_parks\": %llu}",
-                     S == 0 ? "" : ", ", Q.QueueDepthHighWater,
-                     static_cast<unsigned long long>(Q.ProducerParks),
-                     static_cast<unsigned long long>(Q.ConsumerParks));
-      }
-      std::fprintf(File, "]}%s\n", I + 1 == Sweep.size() ? "" : ",");
     }
     std::fprintf(File, "  ]\n}\n");
     std::fclose(File);

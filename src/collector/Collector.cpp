@@ -97,13 +97,13 @@ void pokeUnix(const std::string &Path) {
 
 } // namespace
 
-/// Detection-thread-private state of one in-flight session. Exactly one
-/// of Serial/Sharded is non-null once the first item arrives.
+/// Detection-thread-private state of one in-flight session. Scheduler
+/// is created when the first item arrives (it needs the session's
+/// timestamp-counter count).
 struct CollectorServer::Detection {
   std::unique_ptr<ReplayScheduler> Scheduler;
-  std::unique_ptr<HBDetector> Serial;
-  std::unique_ptr<ShardedHBDetector> Sharded;
   RaceReport Report;
+  HBDetector Detector{Report};
   /// Dynamic counts already forwarded to triage, per site pair. Seeded
   /// from the checkpoint for recovered sessions, so journal replay only
   /// contributes the delta.
@@ -112,11 +112,6 @@ struct CollectorServer::Detection {
   /// journal replay feeds each thread's stream beyond this prefix.
   std::vector<uint64_t> AddedPerTid;
   std::shared_ptr<SessionState> State;
-
-  TraceConsumer &consumer() {
-    return Sharded ? static_cast<TraceConsumer &>(*Sharded)
-                   : static_cast<TraceConsumer &>(*Serial);
-  }
 };
 
 CollectorServer::CollectorServer(CollectorConfig ConfigIn)
@@ -836,11 +831,11 @@ void CollectorServer::replaySpilledTail(Detection &D, const IngestItem &End) {
 void CollectorServer::finishSession(Detection &D, const IngestItem &End) {
   uint64_t Gaps = 0;
   if (D.Scheduler) {
-    size_t Delivered = D.Scheduler->drain(D.consumer());
+    size_t Delivered = D.Scheduler->drain(D.Detector);
     if (!D.Scheduler->fullyDrained()) {
       // Dropped segments punched holes into the timestamp order; skip
       // them like file salvage does instead of stalling forever.
-      Delivered += D.Scheduler->drainAllowingGaps(D.consumer());
+      Delivered += D.Scheduler->drainAllowingGaps(D.Detector);
       Gaps = D.Scheduler->timestampGaps();
     }
     if (Delivered) {
@@ -849,8 +844,6 @@ void CollectorServer::finishSession(Detection &D, const IngestItem &End) {
         Metrics->threadSlab().add(
             Metrics->counter("collector.events.ingested"), Delivered);
     }
-    if (D.Sharded)
-      D.Sharded->finish(D.Report);
     publish(D, End.SessionId);
   }
   D.State->TimestampGaps.store(Gaps, std::memory_order_relaxed);
@@ -934,13 +927,6 @@ void CollectorServer::detectLoop() {
     if (!D.Scheduler) {
       D.Scheduler =
           std::make_unique<ReplayScheduler>(Item.NumCounters);
-      if (Config.Shards > 1) {
-        DetectorOptions Opts;
-        Opts.Shards = Config.Shards;
-        D.Sharded = std::make_unique<ShardedHBDetector>(Opts);
-      } else {
-        D.Serial = std::make_unique<HBDetector>(D.Report);
-      }
       std::lock_guard<std::mutex> Guard(SessionsLock);
       D.State = Sessions.at(Item.SessionId);
       const auto It = RecoveredPublished.find(Item.SessionId);
@@ -955,15 +941,14 @@ void CollectorServer::detectLoop() {
       D.AddedPerTid[Item.Tid] += Item.Records.size();
       D.Scheduler->addEvents(Item.Tid, Item.Records.data(),
                              Item.Records.size());
-      const size_t Delivered = D.Scheduler->drain(D.consumer());
+      const size_t Delivered = D.Scheduler->drain(D.Detector);
       D.State->Events.fetch_add(Delivered, std::memory_order_relaxed);
       if (Metrics && Delivered)
         Metrics->threadSlab().add(
             Metrics->counter("collector.events.ingested"), Delivered);
-      // The serial detector's report is live; surface new sightings as
-      // they happen. (The sharded pipeline merges at session end.)
-      if (D.Serial)
-        publish(D, Item.SessionId);
+      // The detector's report is live; surface new sightings as they
+      // happen.
+      publish(D, Item.SessionId);
       const bool Want =
           CheckpointRequested.exchange(false, std::memory_order_relaxed) ||
           (Config.CheckpointEveryUpdates &&

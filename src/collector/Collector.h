@@ -14,7 +14,7 @@
 ///        each: recv ─► journal (WAL) ─► SegmentStreamDecoder ─► queue
 ///                                                   │
 ///   detection thread ◄───────────────────── single consumer
-///        per-session ReplayScheduler + HBDetector (or sharded)
+///        per-session ReplayScheduler + HBDetector
 ///        race-count deltas ─► ReportTriage (dedup / suppress / limit)
 ///
 /// Live observability rides on top: statusJson() / racesJson() /
@@ -52,7 +52,6 @@
 #include "collector/Suppressions.h"
 #include "detector/HBDetector.h"
 #include "detector/Replay.h"
-#include "detector/ShardedDetector.h"
 #include "runtime/EventLog.h"
 #include "support/MpscChunkQueue.h"
 #include "telemetry/Metrics.h"
@@ -74,10 +73,6 @@ struct CollectorConfig {
   /// Path of the AF_UNIX ingest socket to listen on (required; an
   /// existing socket file is replaced).
   std::string IngestSocketPath;
-  /// Detection shards per session; 1 = serial HBDetector, which also
-  /// surfaces race updates live mid-session (the sharded pipeline merges
-  /// per-shard reports only at session end).
-  unsigned Shards = 1;
   /// Ingest queue capacity (chunks); producers feel backpressure beyond.
   size_t QueueCapacity = 1024;
   /// Triage tuning (rate limit, injectable clock).

@@ -6,8 +6,8 @@
 
 #include "detector/HBDetector.h"
 
-#include "detector/ShardedDetector.h"
 #include "support/Compiler.h"
+#include "telemetry/Metrics.h"
 
 #include <algorithm>
 #include <cassert>
@@ -67,11 +67,7 @@ void HBDetector::release(ThreadId T, SyncVar S) {
 }
 
 void HBDetector::onEvent(const EventRecord &R) {
-  onEventAt(R, NextEventIndex++);
-}
-
-void HBDetector::onEventAt(const EventRecord &R, uint64_t EventIndex) {
-  CurrentEventIndex = EventIndex;
+  CurrentEventIndex = NextEventIndex++;
   switch (R.Kind) {
   case EventKind::ThreadStart:
   case EventKind::ThreadEnd:
@@ -195,14 +191,16 @@ size_t HBDetector::onMemoryRun(const EventRecord *Records, size_t MaxCount) {
 }
 
 bool literace::detectRaces(const Trace &T, RaceReport &Report,
-                           const ReplayOptions &Options,
-                           const DetectorOptions &DetOpts) {
-  if (DetOpts.Shards <= 1) {
-    HBDetector Detector(Report);
-    return replayTraceWith(T, Detector, Options);
+                           const ReplayOptions &Options) {
+  HBDetector Detector(Report);
+  const bool Ok = replayTraceWith(T, Detector, Options);
+  // Detector-plane telemetry, folded once per replay (off the hot path).
+  if (telemetry::MetricsRegistry *M = telemetry::resolveRegistry(nullptr)) {
+    telemetry::ThreadSlab &Slab = M->threadSlab();
+    Slab.add(M->counter("detector.events.memory"),
+             Detector.memoryEventsProcessed());
+    Slab.add(M->counter("detector.events.sync"),
+             Detector.syncEventsProcessed());
   }
-  ShardedHBDetector Sharded(DetOpts);
-  bool Ok = replayTraceWith(T, Sharded, Options);
-  Sharded.finish(Report);
   return Ok;
 }

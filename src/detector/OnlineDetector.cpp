@@ -13,14 +13,9 @@
 using namespace literace;
 
 OnlineDetector::OnlineDetector(unsigned NumTimestampCounters,
-                               RaceReport &Report, ReplayOptions Options,
-                               DetectorOptions Detector)
+                               RaceReport &Report, ReplayOptions Options)
     : Scheduler(NumTimestampCounters, Options), Options(Options),
-      Report(Report) {
-  if (Detector.Shards > 1)
-    Sharded = std::make_unique<ShardedHBDetector>(Detector);
-  else
-    Serial = std::make_unique<HBDetector>(Report);
+      Detector(Report) {
   Worker = std::thread([this] { workerLoop(); });
 }
 
@@ -66,13 +61,10 @@ bool OnlineDetector::finish() {
   // With gap tolerance, events blocked on timestamps that never arrived
   // (the producer crashed, or segments were lost) are drained past
   // coverage gaps now that end-of-stream is certain. The worker is
-  // joined, so the scheduler and detectors are safe to touch here.
+  // joined, so the scheduler and detector are safe to touch here.
   if (Options.AllowTimestampGaps && !Scheduler.fullyDrained())
-    Processed.fetch_add(Scheduler.drainAllowingGaps(consumer()),
+    Processed.fetch_add(Scheduler.drainAllowingGaps(Detector),
                         std::memory_order_relaxed);
-  // The sharded fan-out has its own workers to stop and a merge to run.
-  if (Sharded)
-    Sharded->finish(Report);
   // Anything still pending means some timestamp never arrived: the stream
   // was inconsistent (or truncated).
   {
@@ -105,7 +97,7 @@ void OnlineDetector::workerLoop() {
       Scheduler.addEvents(Chunk.first, Chunk.second.data(),
                           Chunk.second.size());
     Batch.clear();
-    Processed.fetch_add(Scheduler.drain(consumer()),
+    Processed.fetch_add(Scheduler.drain(Detector),
                         std::memory_order_relaxed);
   }
 }

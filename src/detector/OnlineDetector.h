@@ -19,12 +19,10 @@
 
 #include "detector/HBDetector.h"
 #include "detector/Replay.h"
-#include "detector/ShardedDetector.h"
 #include "runtime/EventLog.h"
 
 #include <atomic>
 #include <condition_variable>
-#include <memory>
 #include <mutex>
 #include <thread>
 #include <vector>
@@ -37,11 +35,9 @@ class OnlineDetector : public LogSink {
 public:
   /// \p NumTimestampCounters must match the producing Runtime's
   /// configuration. Races accumulate into \p Report; do not read it until
-  /// finish() has returned. With Detector.Shards > 1 the drain fans out
-  /// to parallel per-shard analysis workers (see ShardedDetector.h).
+  /// finish() has returned.
   OnlineDetector(unsigned NumTimestampCounters, RaceReport &Report,
-                 ReplayOptions Options = ReplayOptions(),
-                 DetectorOptions Detector = DetectorOptions());
+                 ReplayOptions Options = ReplayOptions());
   ~OnlineDetector() override;
 
   void writeChunk(ThreadId Tid, const EventRecord *Records,
@@ -74,18 +70,9 @@ public:
 private:
   void workerLoop();
 
-  /// The consumer the drain worker feeds: the serial detector or the
-  /// sharded fan-out (exactly one is non-null).
-  TraceConsumer &consumer() {
-    return Sharded ? static_cast<TraceConsumer &>(*Sharded)
-                   : static_cast<TraceConsumer &>(*Serial);
-  }
-
   ReplayScheduler Scheduler;
   ReplayOptions Options;
-  RaceReport &Report;
-  std::unique_ptr<HBDetector> Serial;
-  std::unique_ptr<ShardedHBDetector> Sharded;
+  HBDetector Detector;
 
   mutable std::mutex Lock;
   std::condition_variable Ready;

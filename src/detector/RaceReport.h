@@ -40,10 +40,8 @@ struct RaceSighting {
   bool FirstIsWrite = false;
   bool SecondIsWrite = false;
   /// Global replay sequence number of the access that completed the pair
-  /// (the later of the two). Sightings recorded by one serial replay carry
-  /// nondecreasing indices; the sharded pipeline stamps each event with its
-  /// serial-replay number before fan-out, so first-occurrence bookkeeping
-  /// is identical no matter how the work was partitioned.
+  /// (the later of the two). Sightings recorded by one replay carry
+  /// nondecreasing indices.
   uint64_t EventIndex = 0;
 };
 
@@ -63,7 +61,7 @@ struct StaticRace {
   /// Address of the first sighting (for triage).
   uint64_t ExampleAddr = 0;
   /// Replay sequence number of the first sighting; with ExampleAddr it
-  /// makes aggregation independent of recording/merge order.
+  /// makes aggregation independent of recording order.
   uint64_t FirstEventIndex = 0;
   /// True if any sighting was write/write.
   bool SawWriteWrite = false;
@@ -78,14 +76,6 @@ public:
 
   /// Records one dynamic sighting.
   void record(const RaceSighting &Sighting);
-
-  /// Folds \p Other into this report. Per-key counts add, write/write
-  /// flags OR, and the first-occurrence fields (ExampleAddr,
-  /// FirstEventIndex) are taken from whichever sighting has the smaller
-  /// EventIndex — so merging the per-shard reports of a sharded detection
-  /// run yields the same aggregate in any merge order, byte-identical to
-  /// a serial run over the same replay.
-  void merge(const RaceReport &Other);
 
   /// Number of distinct static races.
   size_t numStaticRaces() const { return Races.size(); }

@@ -67,17 +67,6 @@ struct ReplayOptions {
   uint64_t *OutTimestampGaps = nullptr;
 };
 
-/// Detection-pipeline configuration, shared by detectRaces(), the online
-/// detector, the tools, and the harness (see docs/DETECTOR.md).
-struct DetectorOptions {
-  /// Number of address-space shards analyzed by parallel worker threads.
-  /// 1 (the default) runs the classic single-threaded detector; the
-  /// merged report is byte-identical at every shard count.
-  unsigned Shards = 1;
-  /// Capacity, in event records, of each shard's bounded SPSC queue.
-  size_t ShardQueueCapacity = 4096;
-};
-
 namespace replay_detail {
 
 /// Returns true if \p R should be handed to the consumer under \p Options.

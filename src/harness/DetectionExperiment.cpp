@@ -94,9 +94,9 @@ size_t medianOf(std::vector<size_t> Values) {
 
 } // namespace
 
-DetectionResult literace::runDetectionExperiment(
-    WorkloadKind Kind, const WorkloadParams &Params, unsigned Repeats,
-    const DetectorOptions &Detector) {
+DetectionResult literace::runDetectionExperiment(WorkloadKind Kind,
+                                                 const WorkloadParams &Params,
+                                                 unsigned Repeats) {
   assert(Repeats >= 1 && "need at least one run");
   DetectionResult Result;
 
@@ -129,8 +129,7 @@ DetectionResult literace::runDetectionExperiment(
 
     // Full-log detection: the ground truth of this execution.
     RaceReport Full;
-    Result.LogConsistent &=
-        detectRaces(Run.TraceData, Full, ReplayOptions(), Detector);
+    Result.LogConsistent &= detectRaces(Run.TraceData, Full);
     const uint64_t MemOps = Run.Stats.MemOpsLogged;
     auto [RareKeys, FreqKeys] = Full.splitRareFrequent(MemOps);
     StaticPerRun.push_back(Full.numStaticRaces());
@@ -154,7 +153,7 @@ DetectionResult literace::runDetectionExperiment(
       ReplayOptions Options;
       Options.SamplerSlot = static_cast<int>(Slot);
       Result.LogConsistent &=
-          detectRaces(Run.TraceData, Sampled, Options, Detector);
+          detectRaces(Run.TraceData, Sampled, Options);
       std::set<StaticRaceKey> Keys = Sampled.keys();
 
       double Rate = FullKeys.empty()

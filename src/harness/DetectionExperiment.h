@@ -92,13 +92,10 @@ struct DetectionResult {
 
 /// Runs the full §5.3 experiment for one benchmark. \p Repeats fresh
 /// executions are performed (the paper uses 3); detection rates are
-/// averaged and race counts are medians across runs. Every replay uses
-/// \p Detector (so LITERACE_SHARDS parallelizes the analysis side of the
-/// experiments without changing any result).
-DetectionResult
-runDetectionExperiment(WorkloadKind Kind, const WorkloadParams &Params,
-                       unsigned Repeats = 1,
-                       const DetectorOptions &Detector = DetectorOptions());
+/// averaged and race counts are medians across runs.
+DetectionResult runDetectionExperiment(WorkloadKind Kind,
+                                       const WorkloadParams &Params,
+                                       unsigned Repeats = 1);
 
 /// Checks a detection report against a seeded-race manifest.
 /// \returns {number of manifest families with at least one detected pair

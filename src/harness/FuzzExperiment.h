@@ -11,8 +11,8 @@
 ///  - detect races on the full log (the ground truth of that schedule),
 ///  - replay each standard sampler's filtered view (per-sampler recall),
 ///  - check every seeded-race family against the workload manifest,
-///  - cross-check detector backends (sharded HB keys and FastTrack racy
-///    addresses must match the serial HB detector), and
+///  - cross-check detector backends (FastTrack's racy addresses must
+///    match the HB detector's), and
 ///  - record the canonical trace digest (fuzz/TraceCanon), so a failing
 ///    seed is replayable bit-for-bit with `literace-fuzz --seed`.
 ///
@@ -48,8 +48,8 @@ struct FuzzSweepOptions {
   double Scale = 0.02;
   /// Perturbation policy. The Seed field is overwritten per run.
   PerturbOptions Perturb;
-  /// Also replay every trace through the sharded and FastTrack backends
-  /// and require agreement with the serial HB detector.
+  /// Also replay every trace through the FastTrack backend and require
+  /// agreement with the HB detector.
   bool CrossCheckBackends = true;
 };
 

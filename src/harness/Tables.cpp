@@ -27,18 +27,6 @@ unsigned literace::repeatsFromEnv(unsigned Default) {
   return Default;
 }
 
-DetectorOptions literace::detectorOptionsFromEnv() {
-  DetectorOptions Options;
-  if (const char *Shards = std::getenv("LITERACE_SHARDS"))
-    Options.Shards = static_cast<unsigned>(std::atoi(Shards));
-  if (Options.Shards == 0)
-    Options.Shards = 1;
-  if (const char *Queue = std::getenv("LITERACE_SHARD_QUEUE"))
-    Options.ShardQueueCapacity =
-        static_cast<size_t>(std::strtoull(Queue, nullptr, 10));
-  return Options;
-}
-
 void literace::printTable2(const std::vector<DetectionResult> &Results) {
   TableFormatter Table("Table 2: Benchmarks used");
   Table.addRow({"Benchmark", "#Fns", "#Threads", "Mem ops", "Sync ops",

@@ -87,7 +87,9 @@ public:
   /// accounting so readers see the trace as incomplete; default no-op.
   virtual void noteLostChunk(ThreadId Tid, size_t Count);
 
-  /// Total payload bytes accepted so far.
+  /// Total uncompressed record bytes accepted so far (records times
+  /// sizeof(EventRecord)), not the encoded size: a compressed or framed
+  /// sink puts a different number of bytes on disk.
   uint64_t bytesWritten() const {
     return Bytes.load(std::memory_order_relaxed);
   }

@@ -19,10 +19,14 @@
 /// the producer fast path, which is the point: the producers here are
 /// application threads inside the §4.1 dispatch-and-log path.
 ///
-/// Waiting reuses the SpscRing parking idiom: spin briefly, then park on
-/// a condition variable with a short timeout so a missed nudge is bounded
-/// latency, not a hang. close() wakes everyone; push() fails after close
-/// (the caller accounts the chunk as dropped) and pop() drains what
+/// A side that cannot make progress (queue full for a producer — the
+/// backpressure bound — or empty for the consumer) spins briefly, then
+/// parks on a condition variable with a short timeout; the peer nudges
+/// parked waiters after completing an operation, and the timeout makes a
+/// missed nudge cost bounded latency, not a hang. On a single-core host
+/// the queue thus degrades to alternating timeslices instead of burning
+/// the core in a spin loop. close() wakes everyone; push() fails after
+/// close (the caller accounts the chunk as dropped) and pop() drains what
 /// remains before reporting end-of-stream.
 ///
 //===----------------------------------------------------------------------===//

@@ -251,6 +251,11 @@ void ChannelWorkload::chanPush(ThreadContext &TC, SharedState &S,
                                Record *Rec, uint32_t Size, bool FromProducer,
                                bool *WroteOversize) {
   S.Queue.Slots.acquire(TC);
+  // Once Rec is in the ring a consumer may pop and free it (another
+  // producer's Items release can wake one), so snapshot what the
+  // diagnostic below needs before publishing.
+  const bool Oversize = Rec && Rec->Oversize;
+  const uint64_t Seq = Rec ? static_cast<uint64_t>(Rec->Seq) : 0;
   TC.run(FnPush, [&](auto &T) {
     S.Queue.Lock.lock(TC);
     uint32_t Tail = T.load(&S.Queue.Tail, SiteTailRead);
@@ -271,10 +276,8 @@ void ChannelWorkload::chanPush(ThreadContext &TC, SharedState &S,
     // RACE (rare, channel-oversize-once): one-shot diagnostic on a rarely
     // taken branch of a hot function — the population every sampler,
     // LiteRace included, usually misses (§5.3).
-    if (FromProducer && Rec && Rec->Oversize && WroteOversize &&
-        !*WroteOversize) {
-      T.store(&S.OversizeSeq, static_cast<uint64_t>(Rec->Seq),
-              SiteOversizeWrite);
+    if (FromProducer && Oversize && WroteOversize && !*WroteOversize) {
+      T.store(&S.OversizeSeq, Seq, SiteOversizeWrite);
       *WroteOversize = true;
     }
   });

@@ -209,8 +209,8 @@ TEST(PrometheusTest, CuratedHelpRidesTheExpositionAndUnknownsFallBack) {
 }
 
 TEST(PrometheusTest, NameSanitizationFollowsTheGrammar) {
-  EXPECT_EQ(telemetry::prometheusName("detector.shard0.memory_events"),
-            "detector_shard0_memory_events");
+  EXPECT_EQ(telemetry::prometheusName("collector.session0.events"),
+            "collector_session0_events");
   EXPECT_EQ(telemetry::prometheusName("9starts-with.digit"),
             "_9starts_with_digit");
 }
@@ -638,36 +638,6 @@ TEST(CollectorServerTest, LiveDetectionMatchesOfflineReplay) {
     EXPECT_TRUE(S.Clean);
     EXPECT_EQ(S.Bytes, Bytes.size());
     EXPECT_EQ(S.SegmentsDropped, 0u);
-  }
-  std::remove(LogPath.c_str());
-}
-
-TEST(CollectorServerTest, ShardedSessionsMatchSerialDetection) {
-  const std::string LogPath = tempPath("server-sharded.bin");
-  const std::string SocketPath = tempPath("server-sharded.sock");
-  const Trace T = racyTrace();
-  writeSegmented(T, LogPath, 3);
-  const std::vector<uint8_t> Bytes = readFileBytes(LogPath);
-  const RaceReport Offline = detectOffline(T);
-
-  telemetry::MetricsRegistry Registry;
-  CollectorConfig Config;
-  Config.IngestSocketPath = SocketPath;
-  Config.Shards = 2; // Per-shard reports merge at session end.
-  Config.Metrics = &Registry;
-  CollectorServer Server(std::move(Config));
-  std::string Error;
-  ASSERT_TRUE(Server.start(&Error)) << Error;
-  streamToServer(SocketPath, Bytes, 64);
-  Server.waitForSessions(1);
-  Server.stop();
-
-  const std::vector<StaticRace> Expected = Offline.staticRaces();
-  const std::vector<TriagedRace> Live = Server.triage().races();
-  ASSERT_EQ(Live.size(), Expected.size());
-  for (size_t I = 0; I < Expected.size(); ++I) {
-    EXPECT_EQ(Live[I].Key, Expected[I].Key);
-    EXPECT_EQ(Live[I].DynamicCount, Expected[I].DynamicCount);
   }
   std::remove(LogPath.c_str());
 }

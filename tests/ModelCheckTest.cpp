@@ -11,8 +11,8 @@
 //   completeness  the production detectors flag exactly the addresses
 //                 the oracle finds racy (witness pairs may differ).
 //
-// Randomized traces cover lock/event/atomic/fork mixtures; a real
-// workload trace closes the loop end to end.
+// Randomized traces cover lock/event/atomic/fork mixtures; a small run
+// of each of the twelve benchmark workloads closes the loop end to end.
 //
 //===----------------------------------------------------------------------===//
 
@@ -26,6 +26,8 @@
 #include "workloads/Workload.h"
 
 #include <gtest/gtest.h>
+
+#include <string>
 
 using namespace literace;
 
@@ -163,19 +165,39 @@ TEST(ModelCheckOracleTest, AccessCountsAreComplete) {
   EXPECT_EQ(Ref.accessesRecorded(), 3u);
 }
 
-TEST(ModelCheckWorkloadTest, HBDetectorIsSoundOnARealWorkloadTrace) {
-  // End-to-end soundness on a real (small) ConcRT Messaging run: every
-  // pair the production detector reports must be oracle-confirmed.
-  auto W = makeWorkload(WorkloadKind::ConcRTMessaging);
+// --- Workload traces (real races; not sanitizer-safe) ---------------------
+
+class ModelCheckWorkloadTest : public ::testing::TestWithParam<WorkloadKind> {
+};
+
+TEST_P(ModelCheckWorkloadTest, HBDetectorMatchesTheOracle) {
+  // End-to-end on a real (small) run of every benchmark workload: every
+  // pair the production detector reports must be oracle-confirmed, and
+  // it must flag exactly the addresses the oracle finds racy.
+  auto W = makeWorkload(GetParam());
   WorkloadParams Params;
   Params.Scale = 0.02;
   ExperimentRun Run = executeExperiment(*W, Params);
 
   RaceReport Oracle, HB;
-  ASSERT_TRUE(detectRacesReference(Run.TraceData, Oracle));
-  ASSERT_TRUE(detectRaces(Run.TraceData, HB));
-  expectSound(HB, Oracle, 0, "HBDetector(workload)");
-  EXPECT_EQ(HB.racyAddresses(), Oracle.racyAddresses());
+  ASSERT_TRUE(detectRacesReference(Run.TraceData, Oracle)) << W->name();
+  ASSERT_TRUE(detectRaces(Run.TraceData, HB)) << W->name();
+  const std::string Label = "HBDetector(" + W->name() + ")";
+  expectSound(HB, Oracle, 0, Label.c_str());
+  EXPECT_EQ(HB.racyAddresses(), Oracle.racyAddresses()) << W->name();
 }
+
+// No instantiation prefix, so the cases are named
+// ModelCheckWorkloadTest.*/<index> and the sanitizer filter in
+// tests/CMakeLists.txt matches them.
+INSTANTIATE_TEST_SUITE_P(
+    , ModelCheckWorkloadTest,
+    ::testing::Values(WorkloadKind::ChannelWithStdLib, WorkloadKind::Channel,
+                      WorkloadKind::ConcRTMessaging,
+                      WorkloadKind::ConcRTScheduling, WorkloadKind::Httpd1,
+                      WorkloadKind::Httpd2, WorkloadKind::BrowserStart,
+                      WorkloadKind::BrowserRender, WorkloadKind::LKRHash,
+                      WorkloadKind::LFList, WorkloadKind::SciComputeFn,
+                      WorkloadKind::SciComputeLoop));
 
 } // namespace

@@ -148,8 +148,8 @@ RaceSighting sightingAt(Pc A, Pc B, uint64_t Addr, uint64_t EventIndex) {
 }
 
 TEST(RaceReportTest, FirstOccurrenceFollowsEventIndexNotRecordOrder) {
-  // A merged sharded report can deliver the later sighting first; the
-  // aggregation must still settle on the replay-earliest one.
+  // Whatever order sightings are recorded in, the aggregation settles on
+  // the replay-earliest one.
   RaceReport R;
   R.record(sightingAt(1, 2, 0xBBB, 90));
   R.record(sightingAt(1, 2, 0xAAA, 10));
@@ -159,71 +159,6 @@ TEST(RaceReportTest, FirstOccurrenceFollowsEventIndexNotRecordOrder) {
   EXPECT_EQ(Races[0].ExampleAddr, 0xAAAu);
   EXPECT_EQ(Races[0].FirstEventIndex, 10u);
   EXPECT_EQ(Races[0].DynamicCount, 3u);
-}
-
-TEST(RaceReportTest, MergeIsOrderIndependent) {
-  // Three partial reports with overlapping keys, merged in both orders:
-  // every aggregate field and the rendered text must agree.
-  auto Partials = [] {
-    std::vector<RaceReport> Out(3);
-    Out[0].record(sightingAt(1, 2, 0x100, 5));
-    Out[0].record(sightingAt(3, 4, 0x200, 7));
-    Out[1].record(sightingAt(1, 2, 0x110, 3)); // Earlier occurrence.
-    Out[1].record(sightingAt(5, 6, 0x300, 9));
-    Out[2].record(sightingAt(3, 4, 0x210, 20));
-    return Out;
-  };
-
-  auto Reports = Partials();
-  RaceReport Forward;
-  for (const RaceReport &P : Reports)
-    Forward.merge(P);
-  RaceReport Backward;
-  for (size_t I = Reports.size(); I-- > 0;)
-    Backward.merge(Reports[I]);
-
-  EXPECT_EQ(Forward.describe(), Backward.describe());
-  auto F = Forward.staticRaces();
-  auto B = Backward.staticRaces();
-  ASSERT_EQ(F.size(), 3u);
-  ASSERT_EQ(B.size(), 3u);
-  for (size_t I = 0; I != F.size(); ++I) {
-    EXPECT_EQ(F[I].Key, B[I].Key);
-    EXPECT_EQ(F[I].DynamicCount, B[I].DynamicCount);
-    EXPECT_EQ(F[I].ExampleAddr, B[I].ExampleAddr);
-    EXPECT_EQ(F[I].FirstEventIndex, B[I].FirstEventIndex);
-  }
-  // The (1,2) race's first occurrence came from the second partial.
-  EXPECT_EQ(F[0].Key, makeStaticRaceKey(1, 2));
-  EXPECT_EQ(F[0].ExampleAddr, 0x110u);
-  EXPECT_EQ(F[0].FirstEventIndex, 3u);
-  EXPECT_EQ(Forward.numDynamicSightings(), 5u);
-  EXPECT_EQ(Forward.racyAddresses().size(), 5u);
-}
-
-TEST(RaceReportTest, MergeOfDisjointShardsMatchesSerialRecording) {
-  // Serial recording in replay order vs the same sightings split across
-  // two "shards" by address and merged: byte-identical describe().
-  std::vector<RaceSighting> Stream = {
-      sightingAt(makePc(1, 1), makePc(2, 1), 0x10, 2),
-      sightingAt(makePc(1, 2), makePc(2, 2), 0x20, 4),
-      sightingAt(makePc(1, 1), makePc(2, 1), 0x10, 6),
-      sightingAt(makePc(1, 3), makePc(2, 3), 0x30, 8),
-  };
-  RaceReport Serial;
-  for (const RaceSighting &S : Stream)
-    Serial.record(S);
-
-  RaceReport ShardA, ShardB;
-  for (const RaceSighting &S : Stream)
-    (S.Addr == 0x20 ? ShardB : ShardA).record(S);
-  RaceReport Merged;
-  Merged.merge(ShardB); // Deliberately not shard order.
-  Merged.merge(ShardA);
-
-  EXPECT_EQ(Serial.describe(), Merged.describe());
-  EXPECT_EQ(Serial.numDynamicSightings(), Merged.numDynamicSightings());
-  EXPECT_EQ(Serial.racyAddresses(), Merged.racyAddresses());
 }
 
 TEST(RaceReportTest, GoldenDescribeOutputIsLocked) {

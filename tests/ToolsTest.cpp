@@ -357,7 +357,7 @@ TEST(ToolsTest, StatEndToEndOnBrowserWorkload) {
   EXPECT_NE(RunOut.find(".metrics.json"), std::string::npos);
 
   auto [Code, Out] = runCommand(toolPath("literace-stat") + " " + Log +
-                                " --shards 2 --json " + MetricsOut +
+                                " --json " + MetricsOut +
                                 " --perfetto " + TraceOut);
   ASSERT_EQ(Code, 0) << Out;
   // The acceptance triple: nonzero sampled, unsampled, and elided
@@ -365,9 +365,8 @@ TEST(ToolsTest, StatEndToEndOnBrowserWorkload) {
   EXPECT_GT(statValue(Out, "runtime.sampled_activations"), 0) << Out;
   EXPECT_GT(statValue(Out, "runtime.unsampled_activations"), 0) << Out;
   EXPECT_GT(statValue(Out, "runtime.memops_elided"), 0) << Out;
-  // Trace-derived and detector-plane metrics join the same snapshot.
+  // Trace-derived metrics join the same snapshot.
   EXPECT_GT(statValue(Out, "trace.events"), 0) << Out;
-  EXPECT_GT(statValue(Out, "detector.shard0.memory_events"), 0) << Out;
   EXPECT_NE(Out.find("hottest functions"), std::string::npos);
 
   // Both artifacts exist; the Perfetto file was validated structurally by
@@ -415,11 +414,10 @@ TEST(ToolsTest, ReportMetricsFlagWritesSnapshot) {
                        Log + " --mode literace --scale 0.05")
                 .first,
             0);
-  // --shards engages the sharded pipeline, whose detector-plane counters
-  // fold into the process registry and hence into metrics.json.
+  // The detector-plane counters fold into the process registry and
+  // hence into metrics.json.
   auto [Code, Out] = runCommand(toolPath("literace-report") + " " + Log +
-                                " --quiet --shards 2 --metrics " +
-                                MetricsDir);
+                                " --quiet --metrics " + MetricsDir);
   EXPECT_LE(Code, 3) << Out; // Races may or may not be found.
   std::FILE *Metrics = std::fopen(MetricsOut.c_str(), "r");
   ASSERT_NE(Metrics, nullptr);
@@ -469,6 +467,26 @@ TEST(ToolsTest, FsckPassesCleanLogsOfEveryFormat) {
     std::remove(Log.c_str());
     std::remove((Log + ".metrics.json").c_str());
   }
+}
+
+TEST(ToolsTest, RunSummaryPrintsTheSizeOnDisk) {
+  // v2z encodes several-fold below the raw record bytes, so the summary
+  // line is only right if it reports the closed file's size.
+  std::string Log = tempLog();
+  auto [Code, Out] = runCommand(toolPath("literace-run") + " channel " + Log +
+                                " --mode full --scale 0.05 --format v2z");
+  ASSERT_EQ(Code, 0) << Out;
+  const std::string Tag = "(v2z): ";
+  const size_t At = Out.find(Tag);
+  ASSERT_NE(At, std::string::npos) << Out;
+  const double PrintedMb = std::atof(Out.c_str() + At + Tag.size());
+  struct stat St;
+  ASSERT_EQ(::stat(Log.c_str(), &St), 0);
+  const double FileMb = static_cast<double>(St.st_size) / 1e6;
+  // Printed with one decimal: equal within rounding.
+  EXPECT_NEAR(PrintedMb, FileMb, 0.05 + 1e-9) << Out;
+  std::remove(Log.c_str());
+  std::remove((Log + ".metrics.json").c_str());
 }
 
 TEST(ToolsTest, FsckRejectsGarbageAndMissingFiles) {

@@ -90,6 +90,7 @@
 #include <string>
 #include <thread>
 
+#include <sys/stat.h>
 #include <unistd.h>
 
 using namespace literace;
@@ -467,12 +468,19 @@ int main(int Argc, char **Argv) {
   // The run is over; keep the handlers but detach the sink (it is closed).
   ActiveSink = nullptr;
 
+  // The size on disk, not bytesWritten(): that counts uncompressed
+  // record bytes, which overstates a v2z file several-fold.
+  struct stat St;
+  const uint64_t FileBytes =
+      ::stat(OutPath.c_str(), &St) == 0 && S_ISREG(St.st_mode)
+          ? static_cast<uint64_t>(St.st_size)
+          : Sink->bytesWritten();
   RuntimeStats Stats = RT.stats();
   std::fprintf(stderr,
                "wrote %s (%s): %.1f MB, %llu memory ops, %llu sync ops, "
                "%u threads, %zu functions\n",
                OutPath.c_str(), Format.c_str(),
-               static_cast<double>(Sink->bytesWritten()) / 1e6,
+               static_cast<double>(FileBytes) / 1e6,
                static_cast<unsigned long long>(Stats.MemOpsLogged),
                static_cast<unsigned long long>(Stats.SyncOps),
                RT.numThreads(), RT.registry().size());
