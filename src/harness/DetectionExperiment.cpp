@@ -86,6 +86,37 @@ size_t countIn(const std::set<StaticRaceKey> &Found,
   return N;
 }
 
+/// Effective number of independent sampling decisions behind an ESR
+/// measured on \p T. ESR weights each activation by its m memory ops, so
+/// a sampler that decides per activation with probability p gives
+/// Var(ESR) = p(1-p) * sum(m^2) / sum(m)^2: that is (sum m)^2 / sum m^2
+/// binomial samples. Activations are approximated by the maximal runs of
+/// a thread's memory records sharing function and sampler mask: a run
+/// may merge neighbouring activations that drew the same mask
+/// (overstating the variance) or split one around a nested call
+/// (understating it).
+double esrEffectiveSamples(const Trace &T) {
+  double Sum = 0.0, SumSq = 0.0;
+  for (const std::vector<EventRecord> &Stream : T.PerThread) {
+    double Run = 0.0;
+    const EventRecord *Prev = nullptr;
+    for (const EventRecord &R : Stream) {
+      if (!isMemoryKind(R.Kind))
+        continue;
+      if (Prev && (R.Mask != Prev->Mask ||
+                   pcFunction(R.Pc) != pcFunction(Prev->Pc))) {
+        SumSq += Run * Run;
+        Run = 0.0;
+      }
+      Run += 1.0;
+      Sum += 1.0;
+      Prev = &R;
+    }
+    SumSq += Run * Run;
+  }
+  return SumSq == 0.0 ? 0.0 : Sum * Sum / SumSq;
+}
+
 size_t medianOf(std::vector<size_t> Values) {
   assert(!Values.empty());
   std::sort(Values.begin(), Values.end());
@@ -103,6 +134,7 @@ DetectionResult literace::runDetectionExperiment(WorkloadKind Kind,
   std::vector<size_t> StaticPerRun, RarePerRun, FreqPerRun;
   std::vector<std::vector<double>> RatePerSampler, RareRatePerSampler,
       FreqRatePerSampler, EsrPerSampler;
+  double InverseSamples = 0.0; // sum over runs of 1 / esrEffectiveSamples
 
   for (unsigned Rep = 0; Rep != Repeats; ++Rep) {
     std::unique_ptr<Workload> W = makeWorkload(Kind);
@@ -126,6 +158,9 @@ DetectionResult literace::runDetectionExperiment(WorkloadKind Kind,
         Result.Samplers[Slot].Description = Run.SamplerDescriptions[Slot];
       }
     }
+
+    const double Samples = esrEffectiveSamples(Run.TraceData);
+    InverseSamples += Samples == 0.0 ? 0.0 : 1.0 / Samples;
 
     // Full-log detection: the ground truth of this execution.
     RaceReport Full;
@@ -178,6 +213,9 @@ DetectionResult literace::runDetectionExperiment(WorkloadKind Kind,
     }
   }
 
+  // The average of Repeats ESRs has variance p(1-p) * sum(1/n) / R^2.
+  if (InverseSamples != 0.0)
+    Result.EsrSamples = Repeats * Repeats / InverseSamples;
   Result.StaticTotal = medianOf(StaticPerRun);
   Result.RareTotal = medianOf(RarePerRun);
   Result.FrequentTotal = medianOf(FreqPerRun);

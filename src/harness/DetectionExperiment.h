@@ -81,6 +81,10 @@ struct DetectionResult {
   size_t RareTotal = 0;
   size_t FrequentTotal = 0;
   std::vector<SamplerOutcome> Samplers;
+  /// Effective binomial sample count behind each sampler's averaged
+  /// EffectiveSamplingRate: a sampler that logs an activation with
+  /// probability p has ESR standard deviation sqrt(p(1-p)/EsrSamples).
+  double EsrSamples = 0.0;
   /// Ground-truth validation: seeded race families found on the full log,
   /// and whether every detected pair lies within some seeded family.
   size_t SeededTotal = 0;

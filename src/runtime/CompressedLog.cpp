@@ -85,10 +85,9 @@ size_t literace::compressEventStream(const std::vector<EventRecord> &Stream,
   return Out.size() - Before;
 }
 
-PartialDecode literace::decompressEventStreamPartial(const uint8_t *Data,
-                                                     size_t Size,
-                                                     ThreadId Tid) {
-  PartialDecode Result;
+size_t literace::decompressEventStreamInto(const uint8_t *Data, size_t Size,
+                                          ThreadId Tid,
+                                          std::vector<EventRecord> &Out) {
   const uint8_t *P = Data;
   const uint8_t *End = Data + Size;
   uint64_t PrevAddr = 0;
@@ -100,10 +99,8 @@ PartialDecode literace::decompressEventStreamPartial(const uint8_t *Data,
     uint8_t Header = *P++;
     uint8_t KindBits = Header & 0x0f;
     if (KindBits > static_cast<uint8_t>(EventKind::PolicyMeta) ||
-        (Header & ~uint8_t(0x0f | FlagHasMask))) {
-      Result.BytesConsumed = static_cast<size_t>(RecordStart - Data);
-      return Result;
-    }
+        (Header & ~uint8_t(0x0f | FlagHasMask)))
+      return static_cast<size_t>(RecordStart - Data);
     EventRecord R;
     R.Kind = static_cast<EventKind>(KindBits);
     R.Tid = Tid;
@@ -124,18 +121,23 @@ PartialDecode literace::decompressEventStreamPartial(const uint8_t *Data,
       if (Ok)
         PrevMask = static_cast<uint16_t>(V);
     }
-    if (!Ok) {
-      // Truncated or malformed record: keep the prefix decoded so far.
-      Result.BytesConsumed = static_cast<size_t>(RecordStart - Data);
-      return Result;
-    }
+    if (!Ok) // Truncated or malformed record: keep the prefix so far.
+      return static_cast<size_t>(RecordStart - Data);
     R.Mask = PrevMask;
     PrevAddr = R.Addr;
     PrevPc = R.Pc;
-    Result.Events.push_back(R);
+    Out.push_back(R);
   }
-  Result.Complete = true;
-  Result.BytesConsumed = Size;
+  return Size;
+}
+
+PartialDecode literace::decompressEventStreamPartial(const uint8_t *Data,
+                                                     size_t Size,
+                                                     ThreadId Tid) {
+  PartialDecode Result;
+  Result.BytesConsumed =
+      decompressEventStreamInto(Data, Size, Tid, Result.Events);
+  Result.Complete = Result.BytesConsumed == Size;
   return Result;
 }
 
@@ -216,56 +218,11 @@ bool CompressedFileSink::close() {
 
 std::optional<Trace>
 literace::readCompressedTraceFile(const std::string &Path) {
-  std::FILE *File = std::fopen(Path.c_str(), "rb");
-  if (!File)
+  TraceReadOptions Strict;
+  Strict.Salvage = false;
+  TraceReadResult R = readTrace(Path, Strict);
+  if (R.Status != TraceReadStatus::Ok ||
+      R.Stats.Format != TraceFormat::V1Compressed)
     return std::nullopt;
-
-  // Bound every on-disk length against the actual file size before
-  // allocating: a corrupt 64-bit stream size must produce a clean reject,
-  // not a multi-gigabyte resize.
-  uint64_t FileSize = 0;
-  if (std::fseek(File, 0, SEEK_END) == 0) {
-    long Pos = std::ftell(File);
-    if (Pos > 0)
-      FileSize = static_cast<uint64_t>(Pos);
-  }
-  std::rewind(File);
-
-  uint64_t Magic = 0;
-  uint32_t Counters = 0;
-  uint32_t NumThreads = 0;
-  if (std::fread(&Magic, sizeof(Magic), 1, File) != 1 ||
-      Magic != CompressedMagic ||
-      std::fread(&Counters, sizeof(Counters), 1, File) != 1 ||
-      std::fread(&NumThreads, sizeof(NumThreads), 1, File) != 1 ||
-      Counters == 0 ||
-      // Each thread needs at least its 8-byte size word in the file.
-      static_cast<uint64_t>(NumThreads) * sizeof(uint64_t) > FileSize) {
-    std::fclose(File);
-    return std::nullopt;
-  }
-  Trace T;
-  T.NumTimestampCounters = Counters;
-  T.PerThread.resize(NumThreads);
-  std::vector<uint8_t> Buffer;
-  for (uint32_t Tid = 0; Tid != NumThreads; ++Tid) {
-    uint64_t Size = 0;
-    if (std::fread(&Size, sizeof(Size), 1, File) != 1 || Size > FileSize) {
-      std::fclose(File);
-      return std::nullopt;
-    }
-    Buffer.resize(Size);
-    if (Size && std::fread(Buffer.data(), 1, Size, File) != Size) {
-      std::fclose(File);
-      return std::nullopt;
-    }
-    auto Stream = decompressEventStream(Buffer.data(), Size, Tid);
-    if (!Stream) {
-      std::fclose(File);
-      return std::nullopt;
-    }
-    T.PerThread[Tid] = std::move(*Stream);
-  }
-  std::fclose(File);
-  return T;
+  return std::move(R.T);
 }

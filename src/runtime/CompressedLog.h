@@ -54,6 +54,12 @@ struct PartialDecode {
   size_t BytesConsumed = 0;
 };
 
+/// Appends the records decoded from \p Data to \p Out, stopping at the
+/// first malformed byte. Returns the bytes the decoded prefix consumed
+/// (\p Size when the whole input decoded cleanly).
+size_t decompressEventStreamInto(const uint8_t *Data, size_t Size,
+                                 ThreadId Tid, std::vector<EventRecord> &Out);
+
 /// Like decompressEventStream but keeps the longest cleanly decoded
 /// prefix instead of rejecting the whole stream. Never fails: a garbage
 /// input just yields an empty, incomplete decode.
@@ -88,7 +94,8 @@ private:
 };
 
 /// Reads a compressed log file back into a Trace. Returns std::nullopt
-/// if the file is missing or malformed.
+/// if the file is missing, not v1-compressed, or imperfect in any way:
+/// readTrace() in strict mode (TraceReadOptions::Salvage off).
 std::optional<Trace> readCompressedTraceFile(const std::string &Path);
 
 } // namespace literace

@@ -13,9 +13,13 @@
 
 #include <algorithm>
 #include <cassert>
+#include <cerrno>
 #include <chrono>
 #include <cstring>
+#include <fcntl.h>
+#include <sys/stat.h>
 #include <thread>
+#include <unistd.h>
 
 using namespace literace;
 
@@ -97,17 +101,45 @@ bool validRecords(const EventRecord *Records, size_t Count) {
   return true;
 }
 
-std::optional<std::vector<uint8_t>> readWholeFile(const std::string &Path) {
-  std::FILE *File = std::fopen(Path.c_str(), "rb");
-  if (!File)
+/// A whole file held in one allocation (left uninitialized: read(2)
+/// fills the first Size bytes).
+struct FileBytes {
+  std::unique_ptr<uint8_t[]> Data;
+  size_t Size = 0;
+};
+
+/// Reads \p Path with one open/fstat/read loop into a buffer sized from
+/// fstat, growing it only if the file grows (or, for a pipe, has no size
+/// up front). Deliberately not mmap: a file truncated under a mapping
+/// would SIGBUS the reader instead of reading as a truncated tail.
+std::optional<FileBytes> readWholeFile(const std::string &Path) {
+  const int Fd = ::open(Path.c_str(), O_RDONLY | O_CLOEXEC);
+  if (Fd < 0)
     return std::nullopt;
-  std::vector<uint8_t> Data;
-  uint8_t Buf[1 << 16];
-  size_t N;
-  while ((N = std::fread(Buf, 1, sizeof(Buf), File)) > 0)
-    Data.insert(Data.end(), Buf, Buf + N);
-  std::fclose(File);
-  return Data;
+  struct stat St;
+  if (::fstat(Fd, &St) != 0) {
+    ::close(Fd);
+    return std::nullopt;
+  }
+  // The slack lets EOF show as a short read instead of a full buffer.
+  size_t Cap = static_cast<size_t>(St.st_size) + (size_t{1} << 16);
+  FileBytes F;
+  F.Data = std::make_unique_for_overwrite<uint8_t[]>(Cap);
+  for (;;) {
+    if (F.Size == Cap) {
+      auto Grown = std::make_unique_for_overwrite<uint8_t[]>(Cap * 2);
+      std::memcpy(Grown.get(), F.Data.get(), F.Size);
+      F.Data = std::move(Grown);
+      Cap *= 2;
+    }
+    const ssize_t N = ::read(Fd, F.Data.get() + F.Size, Cap - F.Size);
+    if (N > 0)
+      F.Size += static_cast<size_t>(N);
+    else if (N == 0 || errno != EINTR)
+      break; // EOF, or an error: keep what was read
+  }
+  ::close(Fd);
+  return F;
 }
 
 /// Parses and validates a segment header at \p P (magic, header CRC, and
@@ -161,99 +193,85 @@ void appendStream(Trace &T, TraceReadStats &S, uint32_t Tid,
   noteThreadRecovered(S, Tid, Count);
 }
 
-/// Walks v2 frames from \p O, recovering every intact one. Resyncs over
-/// damaged headers by scanning for the next valid magic; trusts
-/// CRC-valid headers for frame lengths, so a bad-payload frame costs
-/// exactly itself.
-void parseV2Segments(const uint8_t *Data, size_t Size, size_t O,
-                     TraceReadResult &Res) {
-  TraceReadStats &S = Res.Stats;
-  bool FooterAtEnd = false;
-  SegmentFooterPayload Footer{};
-  std::vector<EventRecord> Records;
-  while (O < Size) {
-    SegmentHeader H;
-    if (O + sizeof(SegmentHeader) > Size) {
-      // The producer died mid-header.
-      S.TruncatedTail = true;
-      ++S.SegmentsDropped;
-      S.BytesDropped += Size - O;
-      break;
+/// Appends one frame's payload to \p Records: raw records are copied
+/// straight in and kind-validated in place, compressed ones decoded in.
+/// A payload that fails either check is trimmed back off; returns false.
+bool appendPayload(const SegmentHeader &H, const uint8_t *Payload,
+                   std::vector<EventRecord> &Records) {
+  const size_t Base = Records.size();
+  bool Ok;
+  if (H.Encoding == SegEncodingRaw) {
+    Ok = H.PayloadBytes ==
+         static_cast<uint64_t>(H.EventCount) * sizeof(EventRecord);
+    if (Ok && H.EventCount) {
+      Records.resize(Base + H.EventCount);
+      // memcpy: the payload is only 4-byte aligned in the file.
+      std::memcpy(Records.data() + Base, Payload, H.PayloadBytes);
+      Ok = validRecords(Records.data() + Base, H.EventCount);
     }
-    if (!parseSegmentHeader(Data + O, Size - O, H)) {
-      // Damaged header: the frame length cannot be trusted, so resync by
-      // scanning for the next frame whose header checks out.
-      size_t Next = findNextHeader(Data, Size, O + 1);
-      ++S.SegmentsDropped;
-      S.BytesDropped += Next - O;
-      if (Next == Size)
-        S.TruncatedTail = true;
-      O = Next;
-      continue;
-    }
-    size_t End = O + sizeof(SegmentHeader) + H.PayloadBytes;
-    if (End > Size) {
-      // The producer died mid-payload; the header is trustworthy, so we
-      // know exactly what was lost.
-      S.TruncatedTail = true;
-      ++S.SegmentsDropped;
-      S.BytesDropped += Size - O;
-      noteThreadDropped(S, H.Tid);
-      break;
-    }
-    const uint8_t *Payload = Data + O + sizeof(SegmentHeader);
-    bool Decoded = false;
-    if (crc32c(Payload, H.PayloadBytes) == H.PayloadCrc) {
-      if (H.Flags & SegFlagFooter) {
-        if (H.PayloadBytes == sizeof(SegmentFooterPayload) ||
-            H.PayloadBytes == LegacyFooterPayloadBytes) {
-          FooterAtEnd = End == Size;
-          Footer = SegmentFooterPayload{};
-          // memcpy field-wise: legacy footers stop after TotalSegments.
-          std::memcpy(&Footer, Payload, H.PayloadBytes);
-          Decoded = true;
-        }
-      } else if (H.Encoding == SegEncodingRaw) {
-        if (H.PayloadBytes ==
+  } else {
+    Ok = decompressEventStreamInto(Payload, H.PayloadBytes, H.Tid,
+                                   Records) == H.PayloadBytes &&
+         Records.size() - Base == H.EventCount;
+  }
+  if (!Ok)
+    Records.resize(Base);
+  return Ok;
+}
+
+/// Frame-loop consumer of readTrace(): appends straight into
+/// Trace::PerThread. Threads ends up one past the highest thread with a
+/// recovered segment, the length PerThread is trimmed back to.
+struct AppendToTrace {
+  Trace &T;
+  size_t Threads = 0;
+
+  std::vector<EventRecord> &open(uint32_t Tid) {
+    if (Tid >= T.PerThread.size())
+      T.PerThread.resize(Tid + 1);
+    return T.PerThread[Tid];
+  }
+  void close(uint32_t Tid, bool Ok) {
+    if (Ok)
+      Threads = std::max<size_t>(Threads, Tid + 1);
+  }
+};
+
+/// Reserves Trace::PerThread from frame headers alone, so decoding
+/// appends without regrowing: sums the EventCount of header-CRC-valid
+/// raw frames, stopping at the first damaged header or incomplete frame.
+/// Every counted frame carries its records as file bytes, so the total
+/// reserved is at most Size / sizeof(EventRecord) whatever the headers
+/// claim.
+void reservePerThread(const uint8_t *Data, size_t Size, size_t O,
+                      Trace &T) {
+  std::vector<size_t> Counts;
+  SegmentHeader H;
+  while (parseSegmentHeader(Data + O, Size - O, H) &&
+         Size - O - sizeof(SegmentHeader) >= H.PayloadBytes) {
+    if (H.Encoding == SegEncodingRaw && !(H.Flags & SegFlagFooter) &&
+        H.PayloadBytes ==
             static_cast<uint64_t>(H.EventCount) * sizeof(EventRecord)) {
-          Records.resize(H.EventCount);
-          // memcpy: the payload is only 4-byte aligned in the file.
-          std::memcpy(Records.data(), Payload, H.PayloadBytes);
-          if (validRecords(Records.data(), Records.size())) {
-            appendStream(Res.T, S, H.Tid, Records.data(), Records.size());
-            ++S.SegmentsRecovered;
-            Decoded = true;
-          }
-        }
-      } else {
-        auto Stream =
-            decompressEventStream(Payload, H.PayloadBytes, H.Tid);
-        if (Stream && Stream->size() == H.EventCount) {
-          appendStream(Res.T, S, H.Tid, Stream->data(), Stream->size());
-          ++S.SegmentsRecovered;
-          Decoded = true;
-        }
-      }
+      if (H.Tid >= Counts.size())
+        Counts.resize(H.Tid + 1);
+      Counts[H.Tid] += H.EventCount;
     }
-    if (!Decoded) {
-      ++S.SegmentsDropped;
-      S.BytesDropped += End - O;
-      if (!(H.Flags & SegFlagFooter))
-        noteThreadDropped(S, H.Tid);
-    }
-    O = End;
+    O += sizeof(SegmentHeader) + H.PayloadBytes;
   }
-  S.CleanShutdown = FooterAtEnd;
-  if (FooterAtEnd) {
-    S.EventsDroppedByWriter = Footer.DroppedEvents;
-    // Cross-check the footer's totals, but only when nothing else went
-    // wrong — with dropped or truncated segments a disagreement is
-    // already explained and accounted.
-    if (S.SegmentsDropped == 0 && !S.TruncatedTail &&
-        (Footer.TotalEvents != S.EventsRecovered ||
-         Footer.TotalSegments != S.SegmentsRecovered))
-      S.FooterTotalsMismatch = true;
-  }
+  if (Counts.size() > T.PerThread.size())
+    T.PerThread.resize(Counts.size());
+  for (size_t Tid = 0; Tid != Counts.size(); ++Tid)
+    T.PerThread[Tid].reserve(Counts[Tid]);
+}
+
+/// readTrace()'s v2 path: reserve from the frames at \p FirstFrame on,
+/// then decode the whole file with the one v2 decoder.
+void readV2(const uint8_t *Data, size_t Size, size_t FirstFrame,
+            TraceReadResult &Res) {
+  reservePerThread(Data, Size, FirstFrame, Res.T);
+  SegmentStreamDecoder D;
+  D.decodeAll(Data, Size, Res.T);
+  Res.Stats = D.stats();
 }
 
 /// Salvages a v1 raw (FileSink) stream: keeps the longest prefix of
@@ -669,13 +687,13 @@ const char *literace::traceFormatName(TraceFormat F) {
 TraceReadResult literace::readTrace(const std::string &Path,
                                     const TraceReadOptions &Options) {
   TraceReadResult Res;
-  auto DataOpt = readWholeFile(Path);
-  if (!DataOpt) {
+  auto File = readWholeFile(Path);
+  if (!File) {
     Res.Error = "cannot open " + Path;
     return Res;
   }
-  const uint8_t *Data = DataOpt->data();
-  const size_t Size = DataOpt->size();
+  const uint8_t *Data = File->Data.get();
+  const size_t Size = File->Size;
   TraceReadStats &S = Res.Stats;
 
   bool Parsed = false;
@@ -689,9 +707,7 @@ TraceReadResult literace::readTrace(const std::string &Path,
         parseV1Raw(Data, Size, Res);
         Parsed = true;
       } else if (Header.Version == SegmentedFileVersion) {
-        S.Format = TraceFormat::V2Segmented;
-        Res.T.NumTimestampCounters = Header.NumTimestampCounters;
-        parseV2Segments(Data, Size, sizeof(FileHeader), Res);
+        readV2(Data, Size, sizeof(FileHeader), Res);
         Parsed = true;
       }
     }
@@ -710,14 +726,7 @@ TraceReadResult literace::readTrace(const std::string &Path,
     // self-describing, so scan for the first valid one and salvage.
     size_t First = findNextHeader(Data, Size, 0);
     if (First != Size) {
-      S.Format = TraceFormat::V2Segmented;
-      S.SalvagedHeader = true;
-      if (First > 0) {
-        ++S.SegmentsDropped;
-        S.BytesDropped += First;
-      }
-      Res.T.NumTimestampCounters = 128;
-      parseV2Segments(Data, Size, First, Res);
+      readV2(Data, Size, First, Res);
       Parsed = true;
     }
   }
@@ -777,11 +786,11 @@ TraceReadResult literace::readTrace(const std::string &Path,
 
 std::vector<SegmentInfo> literace::scanSegments(const std::string &Path) {
   std::vector<SegmentInfo> Inventory;
-  auto DataOpt = readWholeFile(Path);
-  if (!DataOpt)
+  auto File = readWholeFile(Path);
+  if (!File)
     return Inventory;
-  const uint8_t *Data = DataOpt->data();
-  const size_t Size = DataOpt->size();
+  const uint8_t *Data = File->Data.get();
+  const size_t Size = File->Size;
 
   size_t O = 0;
   if (Size >= sizeof(FileHeader)) {
@@ -828,55 +837,12 @@ std::vector<SegmentInfo> literace::scanSegments(const std::string &Path) {
 }
 
 std::optional<Trace> literace::readTraceFile(const std::string &Path) {
-  std::FILE *File = std::fopen(Path.c_str(), "rb");
-  if (!File)
+  TraceReadOptions Strict;
+  Strict.Salvage = false;
+  TraceReadResult R = readTrace(Path, Strict);
+  if (R.Status != TraceReadStatus::Ok || R.Stats.Format != TraceFormat::V1Raw)
     return std::nullopt;
-
-  // Bound allocations against the real file size so a corrupt chunk
-  // count fails cleanly instead of attempting a giant resize.
-  uint64_t FileSize = 0;
-  if (std::fseek(File, 0, SEEK_END) == 0) {
-    long Pos = std::ftell(File);
-    if (Pos > 0)
-      FileSize = static_cast<uint64_t>(Pos);
-  }
-  std::rewind(File);
-
-  Trace T;
-  FileHeader Header;
-  if (std::fread(&Header, sizeof(Header), 1, File) != 1 ||
-      Header.Magic != FileMagic || Header.Version != FileVersion ||
-      Header.NumTimestampCounters == 0) {
-    std::fclose(File);
-    return std::nullopt;
-  }
-  T.NumTimestampCounters = Header.NumTimestampCounters;
-
-  ChunkHeader Chunk;
-  std::vector<EventRecord> Buffer;
-  while (std::fread(&Chunk, sizeof(Chunk), 1, File) == 1) {
-    if (static_cast<uint64_t>(Chunk.Count) * sizeof(EventRecord) >
-        FileSize) {
-      std::fclose(File);
-      return std::nullopt; // Corrupt count.
-    }
-    Buffer.resize(Chunk.Count);
-    if (std::fread(Buffer.data(), sizeof(EventRecord), Chunk.Count, File) !=
-        Chunk.Count) {
-      std::fclose(File);
-      return std::nullopt; // Truncated chunk.
-    }
-    if (!validRecords(Buffer.data(), Buffer.size())) {
-      std::fclose(File);
-      return std::nullopt; // Corrupt record kinds.
-    }
-    if (Chunk.Tid >= T.PerThread.size())
-      T.PerThread.resize(Chunk.Tid + 1);
-    auto &Stream = T.PerThread[Chunk.Tid];
-    Stream.insert(Stream.end(), Buffer.begin(), Buffer.end());
-  }
-  std::fclose(File);
-  return T;
+  return std::move(R.T);
 }
 
 //===----------------------------------------------------------------------===//
@@ -889,63 +855,95 @@ SegmentStreamDecoder::SegmentStreamDecoder() {
 
 SegmentStreamDecoder::~SegmentStreamDecoder() = default;
 
+namespace {
+/// Frame-loop consumer of SegmentStreamDecoder::feed(): one Chunk per
+/// segment.
+struct PushChunks {
+  std::deque<SegmentStreamDecoder::Chunk> &Ready;
+
+  std::vector<EventRecord> &open(uint32_t Tid) {
+    Ready.push_back({Tid, {}});
+    return Ready.back().Records;
+  }
+  void close(uint32_t, bool Ok) {
+    if (!Ok)
+      Ready.pop_back();
+  }
+};
+} // namespace
+
 void SegmentStreamDecoder::feed(const void *Data, size_t Size) {
   if (Finished || Size == 0)
     return;
   BytesFed += Size;
   const uint8_t *P = static_cast<const uint8_t *>(Data);
+  PushChunks Out{Ready};
+  if (Buffer.empty()) {
+    // Nothing carried over: decode straight from the caller's bytes and
+    // keep only the unfinished tail.
+    const size_t Used = parse(P, Size, Out);
+    Buffer.assign(P + Used, P + Size);
+    return;
+  }
   Buffer.insert(Buffer.end(), P, P + Size);
-  parse();
+  const size_t Used = parse(Buffer.data(), Buffer.size(), Out);
+  Buffer.erase(Buffer.begin(), Buffer.begin() + Used);
 }
 
-void SegmentStreamDecoder::parse() {
-  const uint8_t *Data = Buffer.data();
-  const size_t Size = Buffer.size();
-  size_t O = Offset;
+void SegmentStreamDecoder::decodeAll(const void *Data, size_t Size,
+                                     Trace &T) {
+  assert(BytesFed == 0 && !Finished && "decodeAll needs a fresh decoder");
+  BytesFed = Size;
+  const uint8_t *P = static_cast<const uint8_t *>(Data);
+  AppendToTrace Out{T};
+  const size_t Used = parse(P, Size, Out);
+  Finished = true;
+  settle(P + Used, Size - Used);
+  T.PerThread.resize(Out.Threads);
+  T.NumTimestampCounters = NumCounters;
+}
 
+/// Walks the frames in Data[0, Size) and returns the offset it stopped
+/// at: the start of an incomplete frame, or — while resyncing — one byte
+/// short of a header's length before the end, since a valid header may
+/// straddle it. settle() accounts what is left once the bytes end.
+///
+/// Damaged headers are resynced over by scanning for the next CRC-valid
+/// one; one damage episode counts as one dropped segment, even across
+/// calls (ResyncOpen). CRC-valid headers are trusted for frame lengths,
+/// so a bad-payload frame costs exactly itself. Decoded payloads go to
+/// \p Out: Out.open(Tid) names the vector to append thread Tid's records
+/// to, and Out.close(Tid, Ok) follows each open() (on failure the vector
+/// is already trimmed back).
+template <typename Consumer>
+size_t SegmentStreamDecoder::parse(const uint8_t *Data, size_t Size,
+                                   Consumer &Out) {
+  size_t O = 0;
   if (!HeaderSeen) {
-    if (Size - O < sizeof(FileHeader)) {
-      Offset = O;
-      return;
-    }
+    if (Size < sizeof(FileHeader))
+      return 0;
     FileHeader Header;
-    std::memcpy(&Header, Data + O, sizeof(Header));
+    std::memcpy(&Header, Data, sizeof(Header));
     if (Header.Magic == FileMagic &&
         Header.Version == SegmentedFileVersion &&
         Header.NumTimestampCounters != 0) {
       NumCounters = Header.NumTimestampCounters;
-      O += sizeof(FileHeader);
+      O = sizeof(FileHeader);
     } else {
       // Damaged or missing stream header. v2 frames are self-describing,
-      // so fall through to the frame loop, which will resync on the first
-      // CRC-valid frame magic — the same salvage readTrace() performs.
+      // so resync on the first CRC-valid frame magic.
       Stats.SalvagedHeader = true;
     }
     HeaderSeen = true;
   }
 
-  while (O < Size) {
-    const size_t Avail = Size - O;
-    if (Avail < sizeof(SegmentHeader))
-      break; // Possibly a partial header; wait for more bytes.
+  while (Size - O >= sizeof(SegmentHeader)) {
     SegmentHeader H;
-    if (!parseSegmentHeader(Data + O, Avail, H)) {
-      // Damaged header: the frame length cannot be trusted, so resync by
-      // scanning for the next frame whose header checks out. One damage
-      // episode counts as one dropped segment no matter how many feed()
-      // calls it spans (ResyncOpen carries that across calls).
+    if (!parseSegmentHeader(Data + O, Size - O, H)) {
       LastDecodedWasFooter = false;
       size_t Next = findNextHeader(Data, Size, O + 1);
-      if (Next == Size) {
-        // No validated header in the buffered bytes. A genuine header may
-        // straddle the buffer end, so keep the final header-sized-minus-
-        // one tail for re-examination once more bytes arrive.
-        const size_t Keep = sizeof(SegmentHeader) - 1;
-        const size_t Limit = Size - Keep;
-        if (Limit <= O)
-          break;
-        Next = Limit;
-      }
+      if (Next == Size)
+        Next = Size - (sizeof(SegmentHeader) - 1);
       if (!ResyncOpen) {
         ++Stats.SegmentsDropped;
         ResyncOpen = true;
@@ -956,8 +954,8 @@ void SegmentStreamDecoder::parse() {
     }
     ResyncOpen = false;
     const size_t FrameBytes = sizeof(SegmentHeader) + H.PayloadBytes;
-    if (Avail < FrameBytes)
-      break; // Wait for the rest of the payload (finish() accounts it).
+    if (Size - O < FrameBytes)
+      break; // The rest of the payload has not arrived (yet).
 
     const uint8_t *Payload = Data + O + sizeof(SegmentHeader);
     const bool IsFooter = (H.Flags & SegFlagFooter) != 0;
@@ -966,44 +964,27 @@ void SegmentStreamDecoder::parse() {
       if (IsFooter) {
         if (H.PayloadBytes == sizeof(SegmentFooterPayload) ||
             H.PayloadBytes == LegacyFooterPayloadBytes) {
+          // memcpy field-wise: legacy footers stop after TotalSegments.
           SegmentFooterPayload Footer{};
           std::memcpy(&Footer, Payload, H.PayloadBytes);
-          FooterSeen = true;
           FooterTotalEvents = Footer.TotalEvents;
           FooterTotalSegments = Footer.TotalSegments;
           FooterDroppedEvents = Footer.DroppedEvents;
-          Decoded = true;
-        }
-      } else if (H.Encoding == SegEncodingRaw) {
-        if (H.PayloadBytes ==
-            static_cast<uint64_t>(H.EventCount) * sizeof(EventRecord)) {
-          Chunk C;
-          C.Tid = H.Tid;
-          C.Records.resize(H.EventCount);
-          std::memcpy(C.Records.data(), Payload, H.PayloadBytes);
-          if (validRecords(C.Records.data(), C.Records.size())) {
-            Stats.EventsRecovered += C.Records.size();
-            noteThreadRecovered(Stats, H.Tid, C.Records.size());
-            ++Stats.SegmentsRecovered;
-            Ready.push_back(std::move(C));
-            Decoded = true;
-          }
+          FooterSeen = Decoded = true;
         }
       } else {
-        auto Stream = decompressEventStream(Payload, H.PayloadBytes, H.Tid);
-        if (Stream && Stream->size() == H.EventCount) {
-          Chunk C;
-          C.Tid = H.Tid;
-          C.Records = std::move(*Stream);
-          Stats.EventsRecovered += C.Records.size();
-          noteThreadRecovered(Stats, H.Tid, C.Records.size());
+        Decoded = appendPayload(H, Payload, Out.open(H.Tid));
+        Out.close(H.Tid, Decoded);
+        if (Decoded) {
+          Stats.EventsRecovered += H.EventCount;
+          noteThreadRecovered(Stats, H.Tid, H.EventCount);
           ++Stats.SegmentsRecovered;
-          Ready.push_back(std::move(C));
-          Decoded = true;
         }
       }
     }
-    if (!Decoded) {
+    if (Decoded) {
+      Stats.BytesRecovered += FrameBytes;
+    } else {
       ++Stats.SegmentsDropped;
       Stats.BytesDropped += FrameBytes;
       if (!IsFooter)
@@ -1012,33 +993,21 @@ void SegmentStreamDecoder::parse() {
     LastDecodedWasFooter = Decoded && IsFooter;
     O += FrameBytes;
   }
-
-  // Compact the consumed prefix; amortized so steady streaming does not
-  // memmove on every feed.
-  if (O == Size) {
-    Buffer.clear();
-    O = 0;
-  } else if (O >= (64u << 10)) {
-    Buffer.erase(Buffer.begin(), Buffer.begin() + O);
-    O = 0;
-  }
-  Offset = O;
+  return O;
 }
 
 void SegmentStreamDecoder::noteGap(uint64_t ShedBytes) {
   if (Finished || ShedBytes == 0)
     return;
-  const size_t Buffered = Buffer.size() - Offset;
-  if (Buffered != 0) {
+  if (!Buffer.empty()) {
     // The buffered partial frame can never complete: its remainder is
     // inside the hole. A CRC-valid header in it still attributes the
     // loss to its thread, as in finish()'s truncated-tail accounting.
     SegmentHeader H;
-    if (parseSegmentHeader(Buffer.data() + Offset, Buffered, H))
+    if (parseSegmentHeader(Buffer.data(), Buffer.size(), H))
       noteThreadDropped(Stats, H.Tid);
-    Stats.BytesDropped += Buffered;
+    Stats.BytesDropped += Buffer.size();
     Buffer.clear();
-    Offset = 0;
   }
   if (!ResyncOpen) {
     ++Stats.SegmentsDropped;
@@ -1052,7 +1021,12 @@ void SegmentStreamDecoder::finish() {
   if (Finished)
     return;
   Finished = true;
-  const size_t Leftover = Buffer.size() - Offset;
+  settle(Buffer.data(), Buffer.size());
+  Buffer.clear();
+  Buffer.shrink_to_fit();
+}
+
+void SegmentStreamDecoder::settle(const uint8_t *Tail, size_t Leftover) {
   if (Leftover != 0) {
     // The producer died (or the connection broke) mid-frame. A CRC-valid
     // header in the tail is trustworthy, so the loss is attributable to
@@ -1062,17 +1036,16 @@ void SegmentStreamDecoder::finish() {
       ++Stats.SegmentsDropped;
     Stats.BytesDropped += Leftover;
     SegmentHeader H;
-    if (parseSegmentHeader(Buffer.data() + Offset, Leftover, H))
+    if (parseSegmentHeader(Tail, Leftover, H))
       noteThreadDropped(Stats, H.Tid);
     LastDecodedWasFooter = false;
   }
-  Buffer.clear();
-  Buffer.shrink_to_fit();
-  Offset = 0;
-
   Stats.CleanShutdown = LastDecodedWasFooter;
   if (Stats.CleanShutdown) {
     Stats.EventsDroppedByWriter = FooterDroppedEvents;
+    // Cross-check the footer's totals, but only when nothing else went
+    // wrong — with dropped or truncated segments a disagreement is
+    // already explained and accounted.
     if (Stats.SegmentsDropped == 0 && !Stats.TruncatedTail &&
         (FooterTotalEvents != Stats.EventsRecovered ||
          FooterTotalSegments != Stats.SegmentsRecovered))
@@ -1085,15 +1058,9 @@ void SegmentStreamDecoder::finish() {
 }
 
 bool SegmentStreamDecoder::take(Chunk &Out) {
-  if (ReadyHead == Ready.size()) {
-    Ready.clear();
-    ReadyHead = 0;
+  if (Ready.empty())
     return false;
-  }
-  Out = std::move(Ready[ReadyHead++]);
-  if (ReadyHead == Ready.size()) {
-    Ready.clear();
-    ReadyHead = 0;
-  }
+  Out = std::move(Ready.front());
+  Ready.pop_front();
   return true;
 }

@@ -28,6 +28,7 @@
 
 #include <atomic>
 #include <cstdio>
+#include <deque>
 #include <memory>
 #include <mutex>
 #include <optional>
@@ -259,6 +260,9 @@ struct TraceReadStats {
   uint64_t SegmentsDropped = 0;
   uint64_t EventsRecovered = 0;
   uint64_t BytesDropped = 0;
+  /// v2: bytes of the frames decoded (data and footer). With the file
+  /// header, BytesRecovered + BytesDropped covers every byte read.
+  uint64_t BytesRecovered = 0;
   /// v2: the footer frame was present and valid at end-of-file. v1 has
   /// no footer; set when the file parsed completely.
   bool CleanShutdown = false;
@@ -318,12 +322,15 @@ TraceReadResult readTrace(const std::string &Path,
 /// SegmentedFileSink writes to disk, arriving over a socket or pipe in
 /// arbitrary read sizes). Used by literace-collectd's per-connection
 /// readers: feed() consumes bytes as they arrive, take() yields decoded
-/// (thread, records) chunks in stream order, and the same salvage rules
-/// as readTrace() apply — a damaged frame is dropped and resynced over
-/// with exact accounting, never trusted into the decoded stream. finish()
-/// closes the stream (connection EOF) and settles the coverage stats:
-/// CleanShutdown is true iff the footer frame was the last bytes seen,
-/// exactly like a cleanly closed file.
+/// (thread, records) chunks in stream order. It is the one v2 decoder:
+/// readTrace() runs its frame loop too, through decodeAll(), so both
+/// apply the same salvage rules — a damaged frame is dropped and resynced
+/// over with exact accounting, never trusted into the decoded stream.
+/// Complete frames decode straight from the fed bytes; only an unfinished
+/// frame is buffered across feed() calls. finish() closes the stream
+/// (connection EOF) and settles the coverage stats: CleanShutdown is true
+/// iff the footer frame was the last bytes seen, exactly like a cleanly
+/// closed file.
 class SegmentStreamDecoder {
 public:
   /// One decoded segment: a slice of thread \p Tid's program-order stream.
@@ -342,6 +349,13 @@ public:
   /// Signals end-of-stream. Any buffered partial frame is accounted as a
   /// truncated tail. Idempotent; feed() after finish() is ignored.
   void finish();
+
+  /// On a fresh decoder: decodes a whole stream and finishes, appending
+  /// each segment straight to \p T.PerThread instead of queueing chunks
+  /// (readTrace()'s path; reserve the streams first to decode without
+  /// regrowing). PerThread ends one past the highest thread with a
+  /// recovered segment; T.NumTimestampCounters comes from the header.
+  void decodeAll(const void *Data, size_t Size, Trace &T);
 
   /// Declares an upstream hole of \p ShedBytes that will never arrive (a
   /// resuming client shed them at its spool cap; docs/ROBUSTNESS.md).
@@ -373,12 +387,16 @@ public:
   uint64_t bytesConsumed() const { return BytesFed; }
 
 private:
-  void parse();
+  /// The frame loop: decodes what it can of Data[0, Size) into \p Out
+  /// and returns the bytes consumed (EventLog.cpp).
+  template <typename Consumer>
+  size_t parse(const uint8_t *Data, size_t Size, Consumer &Out);
+  /// finish() with \p Leftover unconsumed bytes at \p Tail.
+  void settle(const uint8_t *Tail, size_t Leftover);
 
+  /// Unconsumed stream bytes: an unfinished frame or a resync tail.
   std::vector<uint8_t> Buffer;
-  size_t Offset = 0; ///< consumed prefix of Buffer
-  std::vector<Chunk> Ready;
-  size_t ReadyHead = 0;
+  std::deque<Chunk> Ready;
   TraceReadStats Stats;
   unsigned NumCounters = 128;
   uint64_t BytesFed = 0;
@@ -410,8 +428,8 @@ struct SegmentInfo {
 std::vector<SegmentInfo> scanSegments(const std::string &Path);
 
 /// Reads a log file written by FileSink back into a Trace. Returns
-/// std::nullopt if the file is missing or malformed. Strict v1 reader;
-/// prefer readTrace() for anything user-supplied.
+/// std::nullopt if the file is missing, not v1, or imperfect in any way:
+/// readTrace() in strict mode (TraceReadOptions::Salvage off).
 std::optional<Trace> readTraceFile(const std::string &Path);
 
 } // namespace literace

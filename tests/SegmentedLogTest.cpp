@@ -4,9 +4,11 @@
 //
 // The crash-consistency contract of the v2 segmented log
 // (docs/ROBUSTNESS.md), checked exhaustively: round trips, truncation at
-// EVERY byte offset, seeded bit flips, exact drop accounting, and the
+// EVERY byte offset, seeded bit flips, exact drop accounting, the
 // detection subset property — races reported from a salvaged trace are a
-// subset of the full-trace report.
+// subset of the full-trace report — and a seeded mutation differential
+// of readTrace() against SegmentStreamDecoder, which share one frame
+// loop.
 //
 //===----------------------------------------------------------------------===//
 
@@ -14,9 +16,12 @@
 #include "detector/HBDetector.h"
 #include "detector/LogBuilder.h"
 #include "runtime/CompressedLog.h"
+#include "support/Crc32.h"
+#include "support/SplitMix64.h"
 
 #include <algorithm>
 #include <cstdio>
+#include <cstring>
 #include <gtest/gtest.h>
 #include <string>
 #include <vector>
@@ -407,6 +412,191 @@ TEST(SegmentedLogTest, SalvagedDetectionReportsASubsetOfFullReport) {
   EXPECT_TRUE(SawNonEmptySalvagedReport);
   std::remove(Path.c_str());
   std::remove(CutPath.c_str());
+}
+
+/// Applies one SplitMix64-chosen mutation to a v2 file whose intact
+/// frames are \p Frames: a few bit flips, a truncation, a splice (a
+/// frame's bytes pasted over a random offset), or a frame duplicated in
+/// place.
+void mutateOnce(std::vector<uint8_t> &Bytes,
+                const std::vector<SegmentInfo> &Frames, SplitMix64 &Rng) {
+  if (Bytes.empty())
+    return;
+  const SegmentInfo &F = Frames[Rng.nextBelow(Frames.size())];
+  const size_t FrameBytes = 28 + F.PayloadBytes;
+  std::vector<uint8_t> Frame;
+  if (F.Offset + FrameBytes <= Bytes.size())
+    Frame.assign(Bytes.begin() + F.Offset,
+                 Bytes.begin() + F.Offset + FrameBytes);
+  switch (Rng.nextBelow(4)) {
+  case 0: // bit flips
+    for (uint64_t N = 1 + Rng.nextBelow(4); N; --N)
+      Bytes[Rng.nextBelow(Bytes.size())] ^=
+          static_cast<uint8_t>(1u << Rng.nextBelow(8));
+    break;
+  case 1: // truncation
+    Bytes.resize(Rng.nextBelow(Bytes.size()));
+    break;
+  case 2: { // splice: paste a frame over a random offset
+    const size_t At = Rng.nextBelow(Bytes.size());
+    Bytes.resize(std::max(Bytes.size(), At + Frame.size()));
+    std::copy(Frame.begin(), Frame.end(), Bytes.begin() + At);
+    break;
+  }
+  default: // duplicate a frame right after itself
+    Bytes.insert(Bytes.begin() + std::min(F.Offset + FrameBytes,
+                                          Bytes.size()),
+                 Frame.begin(), Frame.end());
+    break;
+  }
+}
+
+/// Feeds \p Bytes to a SegmentStreamDecoder in random piece sizes (from
+/// single bytes to more than a frame) and reassembles per-thread streams.
+SegmentStreamDecoder
+decodeInPieces(const std::vector<uint8_t> &Bytes, SplitMix64 &Rng,
+               std::vector<std::vector<EventRecord>> &Out) {
+  SegmentStreamDecoder D;
+  for (size_t At = 0; At < Bytes.size();) {
+    const uint64_t MaxPiece = Rng.nextBelow(2) ? 16 : 600;
+    const size_t Piece =
+        std::min<size_t>(Bytes.size() - At, 1 + Rng.nextBelow(MaxPiece));
+    D.feed(Bytes.data() + At, Piece);
+    At += Piece;
+  }
+  D.finish();
+  SegmentStreamDecoder::Chunk C;
+  while (D.take(C)) {
+    if (C.Tid >= Out.size())
+      Out.resize(C.Tid + 1);
+    Out[C.Tid].insert(Out[C.Tid].end(), C.Records.begin(), C.Records.end());
+  }
+  return D;
+}
+
+bool sameStreams(const std::vector<std::vector<EventRecord>> &A,
+                 const std::vector<std::vector<EventRecord>> &B) {
+  if (A.size() != B.size())
+    return false;
+  for (size_t Tid = 0; Tid != A.size(); ++Tid)
+    if (A[Tid].size() != B[Tid].size() ||
+        (!A[Tid].empty() &&
+         std::memcmp(A[Tid].data(), B[Tid].data(),
+                     A[Tid].size() * sizeof(EventRecord)) != 0))
+      return false;
+  return true;
+}
+
+void expectSameStats(const TraceReadStats &A, const TraceReadStats &B,
+                     const std::string &Where) {
+  EXPECT_EQ(A.SegmentsRecovered, B.SegmentsRecovered) << Where;
+  EXPECT_EQ(A.SegmentsDropped, B.SegmentsDropped) << Where;
+  EXPECT_EQ(A.EventsRecovered, B.EventsRecovered) << Where;
+  EXPECT_EQ(A.BytesDropped, B.BytesDropped) << Where;
+  EXPECT_EQ(A.BytesRecovered, B.BytesRecovered) << Where;
+  EXPECT_EQ(A.CleanShutdown, B.CleanShutdown) << Where;
+  EXPECT_EQ(A.TruncatedTail, B.TruncatedTail) << Where;
+  EXPECT_EQ(A.EventsDroppedByWriter, B.EventsDroppedByWriter) << Where;
+  EXPECT_EQ(A.FooterTotalsMismatch, B.FooterTotalsMismatch) << Where;
+  EXPECT_EQ(A.SalvagedHeader, B.SalvagedHeader) << Where;
+  EXPECT_EQ(A.PerThreadRecovered, B.PerThreadRecovered) << Where;
+  EXPECT_EQ(A.PerThreadDropped, B.PerThreadDropped) << Where;
+}
+
+// readTrace() and SegmentStreamDecoder run one frame loop; seeded
+// mutations of small v2 and v2z files (bit flips, truncation, splices,
+// duplicated frames) must leave them agreeing exactly on stats and
+// records, and every byte must be accounted as recovered or dropped.
+TEST(SegmentedLogTest, MutatedFilesDecodeIdenticallyInBothReaders) {
+  const std::string Path = tempPath("seg_mutation_base.bin");
+  const std::string MutPath = tempPath("seg_mutation.bin");
+  const Trace T = buildRacyTrace();
+  size_t Compared = 0;
+  for (bool Compress : {false, true}) {
+    writeSegmented(T, Path, 5, Compress);
+    const std::vector<uint8_t> Clean = readFileBytes(Path);
+    const std::vector<SegmentInfo> Frames = scanSegments(Path);
+    ASSERT_GT(Frames.size(), 4u);
+    for (uint64_t Seed = 1; Seed <= 300; ++Seed) {
+      SplitMix64 Rng(Seed * 0x9E3779B97F4A7C15ull + Compress);
+      std::vector<uint8_t> Bytes = Clean;
+      for (uint64_t N = 1 + Rng.nextBelow(3); N; --N)
+        mutateOnce(Bytes, Frames, Rng);
+      writeFileBytes(MutPath, Bytes.data(), Bytes.size());
+      const std::string Where = std::string(Compress ? "v2z" : "v2") +
+                                " seed " + std::to_string(Seed);
+
+      const TraceReadResult R = readTrace(MutPath);
+      std::vector<std::vector<EventRecord>> Streams;
+      const SegmentStreamDecoder D = decodeInPieces(Bytes, Rng, Streams);
+      const TraceReadStats &DS = D.stats();
+      // The decoder accounts every byte it was fed, header included.
+      EXPECT_EQ(DS.BytesRecovered + DS.BytesDropped +
+                    (D.headerSeen() && !DS.SalvagedHeader ? 16 : 0),
+                Bytes.size())
+          << Where;
+      // A flipped version field reads as v1, and a file with no intact
+      // frame is unreadable; the decoder knows only v2, so those two
+      // have nothing to agree on.
+      if (R.Stats.Format != TraceFormat::V2Segmented)
+        continue;
+      ++Compared;
+      expectSameStats(R.Stats, DS, Where);
+      EXPECT_TRUE(sameStreams(R.T.PerThread, Streams)) << Where;
+      EXPECT_EQ(R.Stats.BytesRecovered + R.Stats.BytesDropped +
+                    (R.Stats.SalvagedHeader ? 0 : 16),
+                Bytes.size())
+          << Where;
+      EXPECT_EQ(R.Status == TraceReadStatus::Ok,
+                Bytes == Clean || (!R.Stats.SegmentsDropped &&
+                                   R.Stats.CleanShutdown &&
+                                   !R.Stats.FooterTotalsMismatch))
+          << Where;
+    }
+  }
+  EXPECT_GT(Compared, 500u) << "too few mutations stayed v2 to compare";
+  std::remove(Path.c_str());
+  std::remove(MutPath.c_str());
+}
+
+// A forged frame whose header checks out but claims a 64 MiB payload of
+// 2^21 events (or an absurd event count) in a file of a few KiB must not
+// drive a large allocation: PerThread is reserved only from frames whose
+// records are actually in the file.
+TEST(SegmentedLogTest, ForgedHugeFrameHeaderKeepsTheReservationBounded) {
+  const std::string Path = tempPath("seg_forged.bin");
+  const Trace T = buildRacyTrace();
+  writeSegmented(T, Path, 8);
+  const std::vector<uint8_t> Clean = readFileBytes(Path);
+  const std::vector<SegmentInfo> Frames = scanSegments(Path);
+  ASSERT_GT(Frames.size(), 3u);
+  for (uint32_t EventCount : {1u << 21, 0xFFFFFFFFu}) {
+    // Header layout (docs/LOG_FORMAT.md): magic, encoding, flags,
+    // reserved, tid, event count, payload bytes, payload CRC, header CRC.
+    uint8_t Forged[28] = {};
+    const uint32_t Magic = 0x4753524Cu;
+    const uint32_t Fields[] = {/*Tid=*/0, EventCount, /*PayloadBytes=*/1u << 26,
+                               /*PayloadCrc=*/0xDEADBEEFu};
+    std::memcpy(Forged, &Magic, 4);
+    std::memcpy(Forged + 8, Fields, sizeof(Fields));
+    const uint32_t HeaderCrc = crc32c(Forged, 24);
+    std::memcpy(Forged + 24, &HeaderCrc, 4);
+    // Forge it between the second and third frames.
+    std::vector<uint8_t> Bytes = Clean;
+    Bytes.insert(Bytes.begin() + Frames[2].Offset, Forged, Forged + 28);
+    writeFileBytes(Path, Bytes.data(), Bytes.size());
+
+    const TraceReadResult R = readTrace(Path);
+    ASSERT_EQ(R.Status, TraceReadStatus::Salvaged) << R.Error;
+    EXPECT_TRUE(R.Stats.TruncatedTail);
+    size_t Reserved = 0;
+    for (const auto &Stream : R.T.PerThread)
+      Reserved += Stream.capacity();
+    EXPECT_LE(Reserved, Bytes.size() / sizeof(EventRecord));
+    EXPECT_EQ(R.Stats.EventsRecovered,
+              uint64_t{Frames[0].EventCount} + Frames[1].EventCount);
+  }
+  std::remove(Path.c_str());
 }
 
 } // namespace

@@ -13,7 +13,9 @@
 #include <cstring>
 #include <gtest/gtest.h>
 #include <set>
+#include <string>
 #include <thread>
+#include <vector>
 
 using namespace literace;
 
@@ -123,6 +125,34 @@ TEST(Crc32Test, IncrementalUpdatesMatchOneShot) {
   for (size_t I = 0; I != Size; ++I)
     State = crc32cUpdate(State, Data + I, 1);
   EXPECT_EQ(crc32cFinal(State), crc32c(Data, Size));
+}
+
+TEST(Crc32Test, SelectedPathMatchesTheTableAtEveryLengthAndAlignment) {
+  SCOPED_TRACE(std::string("CRC32C path: ") + LITERACE_CRC32C_IMPL);
+  SplitMix64 Rng(0xC4C32C);
+  std::vector<uint8_t> Buffer(4096 + 8);
+  for (uint8_t &B : Buffer)
+    B = static_cast<uint8_t>(Rng.next());
+  for (size_t Align = 0; Align != 8; ++Align)
+    for (size_t Len = 0; Len <= 4096; ++Len) {
+      const uint8_t *P = Buffer.data() + Align;
+      ASSERT_EQ(crc32cUpdate(crc32cInit(), P, Len),
+                detail::crc32cUpdateTable(crc32cInit(), P, Len))
+          << "length " << Len << " at offset " << Align;
+    }
+}
+
+TEST(Crc32Test, IncrementalSplitAtEveryOffsetMatchesOneShot) {
+  SCOPED_TRACE(std::string("CRC32C path: ") + LITERACE_CRC32C_IMPL);
+  uint8_t Data[64];
+  for (size_t I = 0; I != sizeof(Data); ++I)
+    Data[I] = static_cast<uint8_t>(I * 37 + 11);
+  const uint32_t Whole = crc32c(Data, sizeof(Data));
+  for (size_t Split = 0; Split <= sizeof(Data); ++Split) {
+    uint32_t State = crc32cUpdate(crc32cInit(), Data, Split);
+    State = crc32cUpdate(State, Data + Split, sizeof(Data) - Split);
+    EXPECT_EQ(crc32cFinal(State), Whole) << "split at " << Split;
+  }
 }
 
 TEST(Crc32Test, SingleBitFlipsChangeTheChecksum) {
