@@ -939,8 +939,7 @@ void CollectorServer::detectLoop() {
       if (D.AddedPerTid.size() <= Item.Tid)
         D.AddedPerTid.resize(static_cast<size_t>(Item.Tid) + 1, 0);
       D.AddedPerTid[Item.Tid] += Item.Records.size();
-      D.Scheduler->addEvents(Item.Tid, Item.Records.data(),
-                             Item.Records.size());
+      D.Scheduler->addEvents(Item.Tid, std::move(Item.Records));
       const size_t Delivered = D.Scheduler->drain(D.Detector);
       D.State->Events.fetch_add(Delivered, std::memory_order_relaxed);
       if (Metrics && Delivered)

@@ -200,5 +200,5 @@ size_t FastTrackDetector::onMemoryRun(const EventRecord *Records,
 bool literace::detectRacesFastTrack(const Trace &T, RaceReport &Report,
                                     const ReplayOptions &Options) {
   FastTrackDetector Detector(Report);
-  return replayTraceWith(T, Detector, Options);
+  return replayTrace(T, Detector, Options);
 }

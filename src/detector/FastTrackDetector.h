@@ -40,7 +40,8 @@
 namespace literace {
 
 /// Epoch-based happens-before detector over replayed event streams.
-/// `final` so replayTraceWith devirtualizes onEvent (see HBDetector).
+/// `final` so the replay drain loop devirtualizes onEvent (see
+/// HBDetector).
 class FastTrackDetector final : public TraceConsumer {
 public:
   explicit FastTrackDetector(RaceReport &Report);
@@ -68,7 +69,7 @@ public:
 
   uint64_t memoryEventsProcessed() const { return MemoryEvents; }
 
-  /// Batch entry point used by replayTraceWith (see
+  /// Run entry point used by ReplayScheduler (see
   /// HBDetector::onMemoryRun): consumes the maximal leading run of
   /// memory events with the clock and epoch hoisted out of the loop,
   /// returning how many records it took.

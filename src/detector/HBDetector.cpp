@@ -193,7 +193,7 @@ size_t HBDetector::onMemoryRun(const EventRecord *Records, size_t MaxCount) {
 bool literace::detectRaces(const Trace &T, RaceReport &Report,
                            const ReplayOptions &Options) {
   HBDetector Detector(Report);
-  const bool Ok = replayTraceWith(T, Detector, Options);
+  const bool Ok = replayTrace(T, Detector, Options);
   // Detector-plane telemetry, folded once per replay (off the hot path).
   if (telemetry::MetricsRegistry *M = telemetry::resolveRegistry(nullptr)) {
     telemetry::ThreadSlab &Slab = M->threadSlab();

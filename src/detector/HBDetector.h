@@ -39,7 +39,7 @@
 namespace literace {
 
 /// Vector-clock happens-before detector over replayed event streams.
-/// `final` so the statically typed replay loop (replayTraceWith)
+/// `final` so the replay engine's drain loop (templated on the consumer)
 /// devirtualizes onEvent into a direct, inlinable call.
 class HBDetector final : public TraceConsumer {
 public:
@@ -61,7 +61,7 @@ public:
   /// Number of coverage gaps barriered so far.
   uint64_t coverageGaps() const { return CoverageGaps; }
 
-  /// Batch entry point used by replayTraceWith: \p Records[0] is a
+  /// Run entry point used by ReplayScheduler: \p Records[0] is a
   /// memory event, and the detector consumes the maximal leading run of
   /// memory events (capped at \p MaxCount), returning how many it took.
   /// Within a run there is no intervening sync event of the thread, so

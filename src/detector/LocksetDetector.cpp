@@ -117,5 +117,5 @@ void LocksetDetector::onMemory(const EventRecord &R) {
 bool literace::detectLocksetViolations(const Trace &T, RaceReport &Report,
                                        const ReplayOptions &Options) {
   LocksetDetector Detector(Report);
-  return replayTraceWith(T, Detector, Options);
+  return replayTrace(T, Detector, Options);
 }

@@ -34,7 +34,8 @@
 namespace literace {
 
 /// Lockset-based race detector over replayed event streams.
-/// `final` so replayTraceWith devirtualizes onEvent (see HBDetector).
+/// `final` so the replay drain loop devirtualizes onEvent (see
+/// HBDetector).
 class LocksetDetector final : public TraceConsumer {
 public:
   /// Warnings (potential races) are recorded into \p Report; the "first"

@@ -94,8 +94,7 @@ void OnlineDetector::workerLoop() {
         return;
     }
     for (auto &Chunk : Batch)
-      Scheduler.addEvents(Chunk.first, Chunk.second.data(),
-                          Chunk.second.size());
+      Scheduler.addEvents(Chunk.first, std::move(Chunk.second));
     Batch.clear();
     Processed.fetch_add(Scheduler.drain(Detector),
                         std::memory_order_relaxed);

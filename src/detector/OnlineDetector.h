@@ -9,8 +9,9 @@
 /// offline, but notes that the same stream could be consumed by a detector
 /// running concurrently on a spare core. OnlineDetector implements that: it
 /// is a LogSink, so a Runtime can write straight into it; a worker thread
-/// drains arriving chunks through the incremental ReplayScheduler into an
-/// HBDetector while the instrumented program keeps running.
+/// moves arriving chunks into ReplayScheduler, the same replay engine as
+/// batch replayTrace(), and drains them into an HBDetector while the
+/// instrumented program keeps running.
 ///
 //===----------------------------------------------------------------------===//
 

@@ -126,7 +126,7 @@ size_t ReferenceDetector::accessesRecorded() const {
 
 bool literace::detectRacesReference(const Trace &T, RaceReport &Report) {
   ReferenceDetector Oracle;
-  if (!replayTraceWith(T, Oracle))
+  if (!replayTrace(T, Oracle))
     return false;
   Oracle.enumerateRaces(Report);
   return true;

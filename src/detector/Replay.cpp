@@ -6,7 +6,7 @@
 
 #include "detector/Replay.h"
 
-#include <cassert>
+#include <algorithm>
 
 using namespace literace;
 
@@ -14,94 +14,41 @@ TraceConsumer::~TraceConsumer() = default;
 
 void TraceConsumer::onCoverageGap() {}
 
-bool literace::replayTrace(const Trace &T, TraceConsumer &Consumer,
-                           const ReplayOptions &Options) {
-  // The base-class instantiation of the shared loop: one virtual call
-  // per event. Detection wrappers use replayTraceWith<ConcreteDetector>
-  // directly so the per-event dispatch inlines away.
-  return replayTraceWith(T, Consumer, Options);
-}
-
 ReplayScheduler::ReplayScheduler(unsigned NumTimestampCounters,
                                  ReplayOptions Options)
     : NumCounters(NumTimestampCounters), Options(Options),
       NextTs(NumTimestampCounters, 1) {}
 
+ReplayScheduler::ReplayScheduler(const Trace &T, ReplayOptions Options)
+    : ReplayScheduler(T.NumTimestampCounters, Options) {
+  Chunks.reserve(T.PerThread.size());
+  for (size_t Tid = 0; Tid != T.PerThread.size(); ++Tid) {
+    const std::vector<EventRecord> &Stream = T.PerThread[Tid];
+    push(Chunk(static_cast<ThreadId>(Tid), Stream.data(),
+               Stream.data() + Stream.size()));
+  }
+}
+
 void ReplayScheduler::addEvents(ThreadId Tid, const EventRecord *Records,
                                 size_t Count) {
-  if (Tid >= Streams.size())
-    Streams.resize(Tid + 1);
-  Streams[Tid].insert(Streams[Tid].end(), Records, Records + Count);
+  addEvents(Tid, std::vector<EventRecord>(Records, Records + Count));
+}
+
+void ReplayScheduler::addEvents(ThreadId Tid,
+                                std::vector<EventRecord> &&Records) {
+  const EventRecord *Begin = Records.data();
+  const EventRecord *End = Begin + Records.size();
+  push(Chunk(Tid, Begin, End, std::move(Records)));
+}
+
+void ReplayScheduler::push(Chunk C) {
+  const size_t Count = static_cast<size_t>(C.End - C.Next);
+  if (Count == 0)
+    return; // Every queued chunk has a front record.
+  // Behind every queued chunk of the same thread, ahead of later threads.
+  const auto At = std::upper_bound(
+      Chunks.begin(), Chunks.end(), C.Tid,
+      [](ThreadId Tid, const Chunk &Queued) { return Tid < Queued.Tid; });
+  Chunks.insert(At, std::move(C));
   Pending += Count;
-}
-
-size_t ReplayScheduler::drainImpl(TraceConsumer &Consumer, bool AllowStale) {
-  size_t Delivered = 0;
-  bool Progress = true;
-  while (Progress) {
-    Progress = false;
-    for (auto &Stream : Streams) {
-      while (!Stream.empty()) {
-        const EventRecord &R = Stream.front();
-        if (isSyncKind(R.Kind)) {
-          if (R.Ts == 0) {
-            // Salvage mode delivers timestamp-less sync events without a
-            // constraint; incremental strict mode leaves them queued (the
-            // stream is inconsistent and finish() will say so).
-            if (!AllowStale)
-              break;
-            Consumer.onEvent(R);
-          } else {
-            unsigned Counter = counterForSyncVar(R.Addr, NumCounters);
-            if (R.Ts == NextTs[Counter]) {
-              ++NextTs[Counter];
-              Consumer.onEvent(R);
-            } else if (AllowStale && R.Ts < NextTs[Counter]) {
-              // Counter was gap-advanced past this event; the gap
-              // barrier already covers its ordering.
-              Consumer.onEvent(R);
-            } else {
-              break; // Waits for timestamps possibly not yet added.
-            }
-          }
-        } else if (replay_detail::passesFilter(R, Options)) {
-          Consumer.onEvent(R);
-        }
-        Stream.pop_front();
-        --Pending;
-        ++Delivered;
-        Progress = true;
-      }
-    }
-  }
-  return Delivered;
-}
-
-size_t ReplayScheduler::drain(TraceConsumer &Consumer) {
-  return drainImpl(Consumer, /*AllowStale=*/false);
-}
-
-size_t ReplayScheduler::drainAllowingGaps(TraceConsumer &Consumer) {
-  size_t Delivered = drainImpl(Consumer, /*AllowStale=*/true);
-  while (Pending > 0) {
-    // No more input is coming: whatever each stream is blocked on was
-    // lost with a dropped segment. Skip the earliest gap and keep going,
-    // through the helper shared with the batch replayTrace path.
-    auto Skip = replay_detail::findEarliestBlockedEvent(
-        [&](auto &&Visit) {
-          for (const auto &Stream : Streams)
-            if (!Stream.empty())
-              Visit(Stream.front());
-        },
-        NextTs, NumCounters);
-    if (!Skip)
-      break; // Defensive; drainImpl(AllowStale) consumes everything else.
-    NextTs[Skip->Counter] = Skip->Ts;
-    ++Gaps;
-    if (Options.OutTimestampGaps)
-      ++*Options.OutTimestampGaps;
-    Consumer.onCoverageGap();
-    Delivered += drainImpl(Consumer, /*AllowStale=*/true);
-  }
-  return Delivered;
 }

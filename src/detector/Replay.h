@@ -28,10 +28,9 @@
 #include "runtime/EventLog.h"
 #include "runtime/TimestampManager.h"
 
+#include <cassert>
+#include <concepts>
 #include <cstdint>
-#include <deque>
-#include <limits>
-#include <optional>
 #include <vector>
 
 namespace literace {
@@ -67,199 +66,49 @@ struct ReplayOptions {
   uint64_t *OutTimestampGaps = nullptr;
 };
 
-namespace replay_detail {
-
-/// Returns true if \p R should be handed to the consumer under \p Options.
-inline bool passesFilter(const EventRecord &R, const ReplayOptions &Options) {
-  if (!isMemoryKind(R.Kind) || Options.SamplerSlot < 0)
-    return true;
-  return (R.Mask & (1u << Options.SamplerSlot)) != 0;
-}
-
-/// The gap to skip when every stream is stalled: which counter to
-/// advance, and to what timestamp.
-struct GapSkip {
-  unsigned Counter = 0;
-  uint64_t Ts = 0;
-};
-
-/// Shared earliest-blocked-event scan used by both gap-tolerant replay
-/// paths (batch replayTrace and incremental drainAllowingGaps), so their
-/// skip decisions — and therefore the delivered event sequences — cannot
-/// diverge. \p ForEachFront invokes its callback once per non-empty
-/// stream with that stream's front record. A front only blocks replay if
-/// it is a sync event with a real timestamp strictly ahead of its
-/// counter; among those the smallest timestamp wins, which makes the
-/// choice deterministic regardless of stream enumeration order (two
-/// fronts with equal Ts on the same counter pick the same skip; equal Ts
-/// on different counters cannot both be minimal more than once per
-/// round, and the next round handles the other).
-template <typename ForEachFrontFn>
-std::optional<GapSkip>
-findEarliestBlockedEvent(ForEachFrontFn &&ForEachFront,
-                         const std::vector<uint64_t> &NextTs,
-                         unsigned NumCounters) {
-  GapSkip Best;
-  Best.Ts = std::numeric_limits<uint64_t>::max();
-  bool Found = false;
-  ForEachFront([&](const EventRecord &R) {
-    // Non-sync and timestamp-less fronts never block (gap-tolerant
-    // drains deliver them unconditionally); a sync front at or behind
-    // its counter is deliverable, not blocked.
-    if (!isSyncKind(R.Kind) || R.Ts == 0)
-      return;
-    const unsigned Counter = counterForSyncVar(R.Addr, NumCounters);
-    if (R.Ts > NextTs[Counter] && R.Ts < Best.Ts) {
-      Best.Ts = R.Ts;
-      Best.Counter = Counter;
-      Found = true;
-    }
-  });
-  if (!Found)
-    return std::nullopt;
-  return Best;
-}
-
-} // namespace replay_detail
-
-/// Statically typed replay loop: identical delivery order and gap
-/// semantics to replayTrace(), but templated on the concrete consumer so
-/// that a `final` detector's onEvent()/onCoverageGap() devirtualize and
-/// inline straight into the loop — the replay-dispatch overhead on the
-/// serial detection hot path disappears. replayTrace() below is this
-/// template instantiated at the TraceConsumer base (one virtual call per
-/// event), kept for heterogeneous consumers.
-template <typename ConsumerT>
-bool replayTraceWith(const Trace &T, ConsumerT &Consumer,
-                     const ReplayOptions &Options = ReplayOptions()) {
-  const unsigned NumCounters = T.NumTimestampCounters;
-  const size_t NumThreads = T.PerThread.size();
-  std::vector<size_t> Cursor(NumThreads, 0);
-  std::vector<uint64_t> NextTs(NumCounters, 1);
-
-  // Detectors that expose onMemoryRun(records, max) take unfiltered
-  // memory events a whole program-order run at a time (everything up to
-  // the next sync event of the same thread), letting them hoist the
-  // per-thread clock lookup and event dispatch out of their hot loop.
-  // The consumer walks the slice itself and returns how many leading
-  // memory events it consumed, so each record is touched exactly once.
-  // The delivered event sequence is identical to per-event delivery: a
-  // run is exactly the consecutive slice this loop would have handed to
-  // onEvent one record at a time.
-  constexpr bool HasRunSink =
-      requires(ConsumerT &C, const EventRecord *P, size_t N) {
-        { C.onMemoryRun(P, N) } -> std::convertible_to<size_t>;
-      };
-
-  size_t Remaining = T.totalEvents();
-  while (Remaining > 0) {
-    bool Progress = false;
-    for (size_t Tid = 0; Tid != NumThreads; ++Tid) {
-      const auto &Stream = T.PerThread[Tid];
-      size_t &C = Cursor[Tid];
-      while (C < Stream.size()) {
-        const EventRecord &R = Stream[C];
-        if constexpr (HasRunSink) {
-          if (isMemoryKind(R.Kind) && Options.SamplerSlot < 0) {
-            const size_t Consumed =
-                Consumer.onMemoryRun(&Stream[C], Stream.size() - C);
-            Remaining -= Consumed;
-            C += Consumed;
-            Progress = true;
-            continue;
-          }
-        }
-        if (isSyncKind(R.Kind)) {
-          if (R.Ts == 0) {
-            // Malformed: sync event without a timestamp. A salvaged trace
-            // is delivered without an ordering constraint (the gap
-            // machinery keeps detectors conservative); a trusted one is
-            // rejected.
-            if (!Options.AllowTimestampGaps)
-              return false;
-            Consumer.onEvent(R);
-          } else {
-            unsigned Counter = counterForSyncVar(R.Addr, NumCounters);
-            if (R.Ts < NextTs[Counter]) {
-              // Duplicate (strict: inconsistent log) or an event whose
-              // counter was gap-advanced past it; cross-gap order for
-              // this counter is already conservatively barriered, so
-              // deliver without touching the counter.
-              if (!Options.AllowTimestampGaps)
-                return false;
-              Consumer.onEvent(R);
-            } else if (R.Ts == NextTs[Counter]) {
-              ++NextTs[Counter];
-              Consumer.onEvent(R);
-            } else {
-              break; // Not yet enabled; try another thread.
-            }
-          }
-        } else if (replay_detail::passesFilter(R, Options)) {
-          Consumer.onEvent(R);
-        }
-        ++C;
-        --Remaining;
-        Progress = true;
-      }
-    }
-    if (Progress || Remaining == 0)
-      continue;
-    // Every unfinished thread is blocked on a timestamp that never
-    // arrives: with a trusted log that means it is inconsistent; with a
-    // salvaged one, the timestamps died with a dropped segment.
-    if (!Options.AllowTimestampGaps)
-      return false;
-    // Skip the smallest missing range: advance the counter of the
-    // earliest blocked event straight to that event's timestamp, using
-    // the same helper as the incremental path so both deliver identical
-    // sequences on the same gapped trace.
-    auto Skip = replay_detail::findEarliestBlockedEvent(
-        [&](auto &&Visit) {
-          for (size_t Tid = 0; Tid != NumThreads; ++Tid) {
-            const auto &Stream = T.PerThread[Tid];
-            if (Cursor[Tid] < Stream.size())
-              Visit(Stream[Cursor[Tid]]);
-          }
-        },
-        NextTs, NumCounters);
-    if (!Skip)
-      return false; // Defensive; cannot happen while Remaining > 0.
-    NextTs[Skip->Counter] = Skip->Ts;
-    if (Options.OutTimestampGaps)
-      ++*Options.OutTimestampGaps;
-    Consumer.onCoverageGap();
-  }
-  return true;
-}
-
-/// Replays \p T into \p Consumer. Returns false if the log is inconsistent
-/// (a timestamp is missing or duplicated, so no valid order exists); in
-/// that case a prefix may already have been delivered.
-bool replayTrace(const Trace &T, TraceConsumer &Consumer,
-                 const ReplayOptions &Options = ReplayOptions());
-
-/// Incremental version of replayTrace for online detection (§4.4): events
-/// arrive chunk by chunk while the program runs, and drain() delivers
-/// whatever has become processable. Not thread-safe; callers serialize.
+/// The one replay engine (§4.4): batch replayTrace(), OnlineDetector and
+/// every literace-collectd session all schedule through it. Events arrive
+/// per thread in program order, chunk by chunk; drain() delivers whatever
+/// has become processable, and drainAllowingGaps() finishes a stream whose
+/// missing timestamps will never arrive. Not thread-safe; callers
+/// serialize.
+///
+/// Each thread's pending events are a FIFO of chunks. A chunk is a
+/// [Next, End) span plus the vector that owns it; the vector is empty when
+/// the span is borrowed (batch replay borrows Trace::PerThread, so the
+/// trace is never copied). All pending chunks live in one vector ordered
+/// by thread id, each thread's in arrival order: only threads with pending
+/// events have any state, so a forged thread id costs one entry, not one
+/// per smaller id, and batch replay allocates nothing per thread.
 class ReplayScheduler {
 public:
   explicit ReplayScheduler(unsigned NumTimestampCounters,
                            ReplayOptions Options = ReplayOptions());
 
-  /// Appends \p Count records of thread \p Tid's stream (program order).
+  /// Borrows every stream of \p T, which must outlive the scheduler.
+  ReplayScheduler(const Trace &T, ReplayOptions Options);
+  ReplayScheduler(Trace &&, ReplayOptions) = delete;
+
+  /// Appends a copy of \p Count records of thread \p Tid's stream
+  /// (program order).
   void addEvents(ThreadId Tid, const EventRecord *Records, size_t Count);
 
+  /// Appends \p Records to thread \p Tid's stream, taking ownership.
+  void addEvents(ThreadId Tid, std::vector<EventRecord> &&Records);
+
   /// Delivers every event that is currently processable. Returns the
-  /// number delivered.
-  size_t drain(TraceConsumer &Consumer);
+  /// number consumed (memory events filtered out by
+  /// ReplayOptions::SamplerSlot count as consumed).
+  template <typename ConsumerT> size_t drain(ConsumerT &Consumer) {
+    return drainStreams(Consumer, /*AllowStale=*/false);
+  }
 
   /// End-of-stream drain for salvaged traces: like drain(), but when no
   /// more input is coming, pending events blocked on timestamps that were
   /// lost with dropped segments are unblocked by skipping each gap
   /// (notifying \p Consumer via onCoverageGap()). Call only after the
   /// last addEvents(); afterwards fullyDrained() is true.
-  size_t drainAllowingGaps(TraceConsumer &Consumer);
+  template <typename ConsumerT> size_t drainAllowingGaps(ConsumerT &Consumer);
 
   /// True if every added event has been delivered.
   bool fullyDrained() const { return Pending == 0; }
@@ -271,15 +120,158 @@ public:
   uint64_t timestampGaps() const { return Gaps; }
 
 private:
-  size_t drainImpl(TraceConsumer &Consumer, bool AllowStale);
+  struct Chunk {
+    ThreadId Tid;
+    const EventRecord *Next;
+    const EventRecord *End;
+    std::vector<EventRecord> Owner; // Empty when the span is borrowed.
+
+    Chunk(ThreadId Tid, const EventRecord *Next, const EventRecord *End,
+          std::vector<EventRecord> Owner = {})
+        : Tid(Tid), Next(Next), End(End), Owner(std::move(Owner)) {}
+    // A copy would keep pointing into the original's records.
+    Chunk(const Chunk &) = delete;
+    Chunk(Chunk &&) = default;
+    Chunk &operator=(Chunk &&) = default;
+  };
+
+  void push(Chunk C);
+
+  /// Decides whether sync event \p R may be delivered now, and if so
+  /// advances its counter. A timestamp-less (malformed) event or one
+  /// behind its counter (a duplicate, or a counter gap-advanced past it)
+  /// is delivered only when \p AllowStale: in a salvaged trace the gap
+  /// barrier already makes detectors conservative about its ordering;
+  /// otherwise it stays queued and the stream never fully drains.
+  bool admitSync(const EventRecord &R, bool AllowStale) {
+    if (R.Ts == 0)
+      return AllowStale;
+    uint64_t &Next = NextTs[counterForSyncVar(R.Addr, NumCounters)];
+    if (R.Ts == Next) {
+      ++Next;
+      return true;
+    }
+    return AllowStale && R.Ts < Next;
+  }
+
+  template <typename ConsumerT>
+  size_t drainStreams(ConsumerT &Consumer, bool AllowStale);
 
   unsigned NumCounters;
   ReplayOptions Options;
-  std::vector<std::deque<EventRecord>> Streams;
+  /// Pending chunks by ascending Tid (the visiting order of each drain
+  /// pass), each thread's in program order. None is empty between drains.
+  std::vector<Chunk> Chunks;
   std::vector<uint64_t> NextTs;
   size_t Pending = 0;
   uint64_t Gaps = 0;
 };
+
+template <typename ConsumerT>
+size_t ReplayScheduler::drainStreams(ConsumerT &Consumer, bool AllowStale) {
+  // Detectors that expose onMemoryRun(records, max) take unfiltered
+  // memory events a whole program-order run at a time (everything up to
+  // the next sync event of the same thread, or the chunk's end), letting
+  // them hoist the per-thread clock lookup and event dispatch out of
+  // their hot loop. The consumer walks the span itself and returns how
+  // many leading memory events it consumed, so each record is touched
+  // exactly once. The delivered sequence is identical to per-event
+  // delivery: a run is exactly the slice this loop would have handed to
+  // onEvent one record at a time.
+  constexpr bool HasRunSink =
+      requires(ConsumerT &C, const EventRecord *P, size_t N) {
+        { C.onMemoryRun(P, N) } -> std::convertible_to<size_t>;
+      };
+  const bool Unfiltered = Options.SamplerSlot < 0;
+
+  size_t Delivered = 0;
+  for (bool Progress = true; Progress;) {
+    Progress = false;
+    bool Blocked = false;
+    for (size_t I = 0; I != Chunks.size(); ++I) {
+      Chunk &C = Chunks[I];
+      if (I != 0 && C.Tid != Chunks[I - 1].Tid)
+        Blocked = false; // The next thread's first chunk.
+      if (Blocked)
+        continue; // Waits behind the thread's blocked chunk.
+      const EventRecord *P = C.Next;
+      while (P != C.End) {
+        const EventRecord &R = *P;
+        if constexpr (HasRunSink) {
+          if (Unfiltered && isMemoryKind(R.Kind)) {
+            P += Consumer.onMemoryRun(P, static_cast<size_t>(C.End - P));
+            continue;
+          }
+        }
+        if (isSyncKind(R.Kind)) {
+          if (!admitSync(R, AllowStale)) {
+            Blocked = true; // Waits for a timestamp not yet delivered.
+            break;
+          }
+          Consumer.onEvent(R);
+        } else if (Unfiltered || !isMemoryKind(R.Kind) ||
+                   (R.Mask & (1u << Options.SamplerSlot))) {
+          Consumer.onEvent(R);
+        }
+        ++P;
+      }
+      if (P != C.Next) {
+        Delivered += static_cast<size_t>(P - C.Next);
+        Progress = true;
+        C.Next = P;
+      }
+    }
+  }
+  std::erase_if(Chunks, [](const Chunk &C) { return C.Next == C.End; });
+  Pending -= Delivered;
+  return Delivered;
+}
+
+template <typename ConsumerT>
+size_t ReplayScheduler::drainAllowingGaps(ConsumerT &Consumer) {
+  size_t Delivered = drainStreams(Consumer, /*AllowStale=*/true);
+  while (Pending > 0) {
+    // No more input is coming, and every stream's front is a sync event
+    // ahead of its counter: those timestamps died with a dropped segment.
+    // Skip the smallest missing range by advancing the counter of the
+    // earliest blocked event straight to its timestamp. Picking the
+    // smallest timestamp (first in Tid order on ties) makes the choice
+    // independent of how the events were split into chunks.
+    const EventRecord *Earliest = nullptr;
+    for (size_t I = 0; I != Chunks.size(); ++I) {
+      if (I != 0 && Chunks[I].Tid == Chunks[I - 1].Tid)
+        continue; // Not the thread's front chunk.
+      const EventRecord &Front = *Chunks[I].Next;
+      assert(isSyncKind(Front.Kind) && Front.Ts != 0);
+      if (!Earliest || Front.Ts < Earliest->Ts)
+        Earliest = &Front;
+    }
+    NextTs[counterForSyncVar(Earliest->Addr, NumCounters)] = Earliest->Ts;
+    ++Gaps;
+    if (Options.OutTimestampGaps)
+      ++*Options.OutTimestampGaps;
+    Consumer.onCoverageGap();
+    Delivered += drainStreams(Consumer, /*AllowStale=*/true);
+  }
+  return Delivered;
+}
+
+/// Replays \p T into \p Consumer in a happens-before-consistent order.
+/// Returns false if the log is inconsistent (a timestamp is missing or
+/// duplicated, so no valid order exists); everything deliverable around
+/// the inconsistency has then been delivered. Templated on the concrete
+/// consumer so that a `final` detector's onEvent()/onMemoryRun() inline
+/// into the drain loop; a TraceConsumer& pays one virtual call per event.
+template <typename ConsumerT>
+bool replayTrace(const Trace &T, ConsumerT &Consumer,
+                 const ReplayOptions &Options = ReplayOptions()) {
+  ReplayScheduler Scheduler(T, Options);
+  if (Options.AllowTimestampGaps)
+    Scheduler.drainAllowingGaps(Consumer);
+  else
+    Scheduler.drain(Consumer);
+  return Scheduler.fullyDrained();
+}
 
 } // namespace literace
 

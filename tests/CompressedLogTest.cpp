@@ -12,8 +12,10 @@
 #include "support/SplitMix64.h"
 #include "workloads/Workload.h"
 
+#include <algorithm>
 #include <cstdio>
 #include <gtest/gtest.h>
+#include <memory>
 
 using namespace literace;
 
@@ -202,6 +204,152 @@ TEST(CompressedStreamTest, UnknownHeaderFlagBitsAreRejected) {
   // else is a future extension the current decoder must not guess at.
   uint8_t Evil[] = {0x41, 0x00, 0x00, 0x00}; // Kind 1 + undefined bit 6.
   EXPECT_FALSE(decompressEventStream(Evil, sizeof(Evil), 0));
+}
+
+/// Returns a value near \p Prev or anywhere in the 64-bit range, so the
+/// zig-zag deltas cover small steps and jumps across +-2^63.
+uint64_t randomNear(SplitMix64 &Rng, uint64_t Prev) {
+  switch (Rng.nextBelow(4)) {
+  case 0:
+    return Rng.next();
+  case 1:
+    return Prev + (uint64_t(1) << 63) + Rng.nextBelow(3) - 1;
+  default:
+    return Prev + Rng.nextBelow(129) - 64;
+  }
+}
+
+/// A random stream of every kind: deltas across the whole address and pc
+/// range, strictly increasing sync timestamps, occasional mask changes.
+std::vector<EventRecord> randomCodecStream(SplitMix64 &Rng, ThreadId Tid) {
+  std::vector<EventRecord> Stream;
+  EventRecord Prev;
+  uint64_t Ts = 0;
+  for (uint64_t I = 0, N = Rng.nextBelow(200); I != N; ++I) {
+    EventRecord R;
+    R.Tid = Tid;
+    R.Kind = static_cast<EventKind>(
+        Rng.nextBelow(static_cast<uint64_t>(EventKind::PolicyMeta) + 1));
+    R.Addr = randomNear(Rng, Prev.Addr);
+    R.Pc = randomNear(Rng, Prev.Pc);
+    if (isSyncKind(R.Kind))
+      R.Ts = Ts += 1 + (Rng.nextBelow(8) ? Rng.nextBelow(4)
+                                          : Rng.next() >> 20);
+    R.Mask = Rng.nextBelow(4) ? Prev.Mask
+                              : static_cast<uint16_t>(Rng.nextBelow(0x10000));
+    Stream.push_back(R);
+    Prev = R;
+  }
+  return Stream;
+}
+
+bool streamsEqual(const std::vector<EventRecord> &A,
+                  const std::vector<EventRecord> &B) {
+  return std::equal(A.begin(), A.end(), B.begin(), B.end(), recordsEqual);
+}
+
+TEST(CompressedStreamTest, SeededRandomStreamsRoundTripExactly) {
+  SplitMix64 Rng(0xc0dec0de);
+  for (int Trial = 0; Trial != 500; ++Trial) {
+    const auto Tid = static_cast<ThreadId>(Rng.nextBelow(64));
+    const std::vector<EventRecord> Stream = randomCodecStream(Rng, Tid);
+    std::vector<uint8_t> Out;
+    compressEventStream(Stream, Out);
+    auto Back = decompressEventStream(Out.data(), Out.size(), Tid);
+    ASSERT_TRUE(Back.has_value()) << "trial " << Trial;
+    ASSERT_TRUE(streamsEqual(*Back, Stream)) << "trial " << Trial;
+  }
+}
+
+TEST(CompressedStreamTest, MutatedStreamsDecodeAConsistentPrefix) {
+  // Bit flips, truncation, splices and duplicated bytes: whatever the
+  // damage, the three decode entry points agree on one clean prefix,
+  // never read past the input, and never touch the caller's records.
+  SplitMix64 Rng(0xbadc0ded);
+  for (int Trial = 0; Trial != 2000; ++Trial) {
+    std::vector<uint8_t> Bytes;
+    compressEventStream(randomCodecStream(Rng, 1), Bytes);
+    std::vector<uint8_t> Donor;
+    compressEventStream(randomCodecStream(Rng, 2), Donor);
+    for (uint64_t M = 0, N = 1 + Rng.nextBelow(3); M != N; ++M) {
+      const size_t At = Rng.nextBelow(Bytes.size() + 1);
+      switch (Rng.nextBelow(4)) {
+      case 0: // Bit flip.
+        if (!Bytes.empty())
+          Bytes[Rng.nextBelow(Bytes.size())] ^=
+              static_cast<uint8_t>(1u << Rng.nextBelow(8));
+        break;
+      case 1: // Truncation.
+        Bytes.resize(At);
+        break;
+      case 2: { // Splice in a slice of another stream.
+        const size_t From = Rng.nextBelow(Donor.size() + 1);
+        const size_t Len = Rng.nextBelow(Donor.size() - From + 1);
+        Bytes.erase(Bytes.begin() + At,
+                    Bytes.begin() + At + Rng.nextBelow(Bytes.size() - At + 1));
+        Bytes.insert(Bytes.begin() + At, Donor.begin() + From,
+                     Donor.begin() + From + Len);
+        break;
+      }
+      default: { // Duplicate a run of bytes in place.
+        const size_t Len = Rng.nextBelow(Bytes.size() - At + 1);
+        const std::vector<uint8_t> Run(Bytes.begin() + At,
+                                       Bytes.begin() + At + Len);
+        Bytes.insert(Bytes.begin() + At, Run.begin(), Run.end());
+        break;
+      }
+      }
+    }
+    SCOPED_TRACE(testing::Message() << "trial " << Trial);
+    // An exactly sized copy, so a sanitizer sees any overread.
+    const size_t Size = Bytes.size();
+    const std::unique_ptr<uint8_t[]> Data(new uint8_t[Size]);
+    std::copy(Bytes.begin(), Bytes.end(), Data.get());
+
+    const std::vector<EventRecord> Prefix = randomCodecStream(Rng, 9);
+    std::vector<EventRecord> Out = Prefix;
+    const size_t Used = decompressEventStreamInto(Data.get(), Size, 1, Out);
+    ASSERT_LE(Used, Size);
+    ASSERT_GE(Out.size(), Prefix.size());
+    ASSERT_TRUE(std::equal(Prefix.begin(), Prefix.end(), Out.begin(),
+                           recordsEqual));
+    const std::vector<EventRecord> Decoded(Out.begin() + Prefix.size(),
+                                           Out.end());
+
+    const PartialDecode Partial =
+        decompressEventStreamPartial(Data.get(), Size, 1);
+    EXPECT_EQ(Partial.BytesConsumed, Used);
+    EXPECT_EQ(Partial.Complete, Used == Size);
+    EXPECT_TRUE(streamsEqual(Partial.Events, Decoded));
+
+    const auto Strict = decompressEventStream(Data.get(), Size, 1);
+    ASSERT_EQ(Strict.has_value(), Used == Size);
+    if (Strict) {
+      EXPECT_TRUE(streamsEqual(*Strict, Decoded));
+    }
+
+    // Every consumed byte belongs to a decoded record: one more record,
+    // encoded against the decoded records' delta state, appends cleanly.
+    EventRecord Extra;
+    Extra.Tid = 1;
+    Extra.Kind = EventKind::Acquire;
+    Extra.Addr = Rng.next();
+    Extra.Pc = Rng.next();
+    Extra.Ts = Rng.next();
+    Extra.Mask = static_cast<uint16_t>(Rng.next());
+    std::vector<EventRecord> Longer = Decoded;
+    std::vector<uint8_t> Before, After;
+    compressEventStream(Longer, Before);
+    Longer.push_back(Extra);
+    compressEventStream(Longer, After);
+    std::vector<uint8_t> Extended(Data.get(), Data.get() + Used);
+    Extended.insert(Extended.end(), After.begin() + Before.size(),
+                    After.end());
+    const auto Clean =
+        decompressEventStream(Extended.data(), Extended.size(), 1);
+    ASSERT_TRUE(Clean.has_value());
+    EXPECT_TRUE(streamsEqual(*Clean, Longer));
+  }
 }
 
 TEST(CompressedFileSinkTest, ReaderRejectsOversizedStreamHeaders) {

@@ -297,7 +297,7 @@ TEST(HBDetectorTest, CoverageGapBarriersPopulatedShadowTable) {
   Opts.AllowTimestampGaps = true;
   RaceReport Report;
   HBDetector D(Report);
-  EXPECT_TRUE(replayTraceWith(B.build(), D, Opts));
+  EXPECT_TRUE(replayTrace(B.build(), D, Opts));
   EXPECT_EQ(D.coverageGaps(), 1u);
   EXPECT_EQ(Report.numStaticRaces(), 0u) << Report.describe();
   // Every address still has exactly one shadow slot: the barrier

@@ -6,10 +6,16 @@
 
 #include "detector/Replay.h"
 
+#include "detector/HBDetector.h"
 #include "detector/LogBuilder.h"
+#include "detector/ReferenceDetector.h"
 #include "runtime/TimestampManager.h"
+#include "support/SplitMix64.h"
 
+#include <algorithm>
 #include <gtest/gtest.h>
+#include <malloc.h>
+#include <set>
 #include <vector>
 
 using namespace literace;
@@ -272,45 +278,211 @@ TEST(ReplaySchedulerTest, DrainAllowingGapsUnblocksStalledStreams) {
   EXPECT_EQ(R.Events.size(), 2u);
 }
 
-TEST(ReplaySchedulerTest, BatchAndIncrementalGapReplayAgreeExactly) {
-  // Regression: the batch path (replayTrace) and the incremental path
-  // (drainAllowingGaps) used to implement gap-skip independently and
-  // could diverge on which counter to advance first. Both now share
-  // findEarliestBlockedEvent, so on the same gapped trace they must
-  // deliver the identical event sequence and count identical gaps.
-  LogBuilder B(16);
-  B.onThread(0).acquire(MutexA).write(0x10, 1);
-  B.skipTimestamps(MutexA, 2); // Gap on A's counter.
-  B.onThread(1).acquire(MutexA).write(0x20, 2).acquire(MutexB);
-  B.skipTimestamps(MutexB, 4); // Deeper gap on B's counter.
-  B.onThread(2).acquire(MutexB).write(0x30, 3);
-  B.skipTimestamps(MutexA); // Second gap on A.
-  B.onThread(0).acquire(MutexA).write(0x40, 4).release(MutexA);
-  Trace T = B.build();
-
-  ReplayOptions Opts;
-  Opts.AllowTimestampGaps = true;
-  GapRecorder Batch;
-  ASSERT_TRUE(replayTrace(T, Batch, Opts));
-
-  ReplayScheduler Sched(T.NumTimestampCounters, Opts);
-  GapRecorder Incremental;
-  for (size_t Tid = 0; Tid != T.PerThread.size(); ++Tid)
-    Sched.addEvents(static_cast<ThreadId>(Tid), T.PerThread[Tid].data(),
-                    T.PerThread[Tid].size());
-  Sched.drainAllowingGaps(Incremental);
-  ASSERT_TRUE(Sched.fullyDrained());
-
-  EXPECT_EQ(Incremental.Gaps, Batch.Gaps);
-  EXPECT_EQ(Sched.timestampGaps(), Batch.Gaps);
-  ASSERT_EQ(Incremental.Events.size(), Batch.Events.size());
-  ASSERT_EQ(Batch.Events.size(), T.totalEvents());
-  for (size_t I = 0; I != Batch.Events.size(); ++I) {
-    EXPECT_EQ(Incremental.Events[I].Tid, Batch.Events[I].Tid) << I;
-    EXPECT_EQ(Incremental.Events[I].Addr, Batch.Events[I].Addr) << I;
-    EXPECT_EQ(Incremental.Events[I].Ts, Batch.Events[I].Ts) << I;
-    EXPECT_EQ(Incremental.Events[I].Kind, Batch.Events[I].Kind) << I;
+/// A random LogBuilder trace: up to five threads issuing bursts of
+/// memory accesses (program-order memory runs) on a few addresses,
+/// interleaved with sync operations on a few variables. With
+/// \p WithGaps, some timestamps are drawn and lost, as with a dropped
+/// segment.
+Trace randomTrace(SplitMix64 &Rng, bool WithGaps) {
+  static constexpr unsigned CounterChoices[] = {1, 4, 16};
+  LogBuilder B(CounterChoices[Rng.nextBelow(3)]);
+  const SyncVar Vars[] = {MutexA, MutexB,
+                          makeSyncVar(SyncObjectKind::User, 0xC00)};
+  const unsigned Threads = 1 + static_cast<unsigned>(Rng.nextBelow(5));
+  const unsigned Steps = 10 + static_cast<unsigned>(Rng.nextBelow(60));
+  for (unsigned Step = 0; Step != Steps; ++Step) {
+    const auto Tid = static_cast<ThreadId>(Rng.nextBelow(Threads));
+    B.onThread(Tid);
+    const SyncVar S = Vars[Rng.nextBelow(3)];
+    switch (Rng.nextBelow(WithGaps ? 6 : 5)) {
+    case 0:
+    case 1:
+    case 2:
+      for (uint64_t I = 0, N = 1 + Rng.nextBelow(8); I != N; ++I) {
+        const uint64_t Addr = 0x1000 + 8 * Rng.nextBelow(6);
+        const Pc Site = makePc(Tid + 1, static_cast<uint32_t>(I));
+        const uint16_t Mask = Rng.nextBelow(2)
+                                  ? FullLogMaskBit
+                                  : uint16_t(FullLogMaskBit | 0x1);
+        if (Rng.nextBelow(2))
+          B.write(Addr, Site, Mask);
+        else
+          B.read(Addr, Site, Mask);
+      }
+      break;
+    case 3:
+      B.acquire(S);
+      break;
+    case 4:
+      B.release(S);
+      break;
+    default:
+      B.skipTimestamps(S, 1 + static_cast<unsigned>(Rng.nextBelow(3)));
+      break;
+    }
   }
+  return B.build();
+}
+
+/// One chunk of a thread's stream, as a live producer would hand it over.
+struct TraceChunk {
+  ThreadId Tid;
+  std::vector<EventRecord> Records;
+};
+
+/// Splits every stream of \p T at random points (inside memory runs
+/// too; empty chunks included) and interleaves the chunks of different
+/// threads in random order, keeping each thread's chunks in program
+/// order.
+std::vector<TraceChunk> randomChunks(SplitMix64 &Rng, const Trace &T) {
+  std::vector<std::vector<TraceChunk>> PerThread(T.PerThread.size());
+  for (size_t Tid = 0; Tid != T.PerThread.size(); ++Tid) {
+    const std::vector<EventRecord> &Stream = T.PerThread[Tid];
+    std::vector<size_t> Cuts{0, Stream.size()};
+    for (uint64_t I = 0, N = Rng.nextBelow(5); I != N; ++I)
+      Cuts.push_back(Rng.nextBelow(Stream.size() + 1));
+    std::sort(Cuts.begin(), Cuts.end());
+    for (size_t I = 0; I + 1 != Cuts.size(); ++I)
+      PerThread[Tid].push_back(
+          {static_cast<ThreadId>(Tid),
+           std::vector<EventRecord>(Stream.begin() + Cuts[I],
+                                    Stream.begin() + Cuts[I + 1])});
+  }
+  std::vector<TraceChunk> Order;
+  std::vector<size_t> Next(PerThread.size(), 0);
+  for (size_t Left = T.PerThread.size(); Left != 0;) {
+    size_t Tid = Rng.nextBelow(PerThread.size());
+    while (Next[Tid] == PerThread[Tid].size())
+      Tid = (Tid + 1) % PerThread.size();
+    Order.push_back(std::move(PerThread[Tid][Next[Tid]]));
+    if (++Next[Tid] == PerThread[Tid].size())
+      --Left;
+  }
+  return Order;
+}
+
+/// Adds \p C through either addEvents overload.
+void addChunk(SplitMix64 &Rng, ReplayScheduler &Sched, TraceChunk &C) {
+  if (Rng.nextBelow(2))
+    Sched.addEvents(C.Tid, std::move(C.Records));
+  else
+    Sched.addEvents(C.Tid, C.Records.data(), C.Records.size());
+}
+
+bool sameEvent(const EventRecord &A, const EventRecord &B) {
+  return A.Tid == B.Tid && A.Kind == B.Kind && A.Addr == B.Addr &&
+         A.Pc == B.Pc && A.Ts == B.Ts && A.Mask == B.Mask;
+}
+
+TEST(ReplaySchedulerTest, ChunkedGapReplayMatchesWholeTraceReplay) {
+  // However a trace arrives — split anywhere, threads interleaved in any
+  // order — the end-of-stream drain must reproduce whole-trace replay
+  // exactly: same events in the same order, same gaps, same report.
+  SplitMix64 Rng(0x5eed1e55);
+  for (int Trial = 0; Trial != 300; ++Trial) {
+    const bool WithGaps = Trial % 2 == 1;
+    const Trace T = randomTrace(Rng, WithGaps);
+    ReplayOptions Opts;
+    Opts.AllowTimestampGaps = true;
+    Opts.SamplerSlot = Rng.nextBelow(4) == 0 ? 0 : -1;
+    SCOPED_TRACE(testing::Message() << "trial " << Trial);
+
+    GapRecorder Whole;
+    ASSERT_TRUE(replayTrace(T, Whole, Opts));
+    RaceReport WholeReport;
+    HBDetector WholeDetector(WholeReport);
+    ASSERT_TRUE(replayTrace(T, WholeDetector, Opts));
+
+    const std::vector<TraceChunk> Chunks = randomChunks(Rng, T);
+    ReplayScheduler EventSched(T.NumTimestampCounters, Opts);
+    ReplayScheduler DetectSched(T.NumTimestampCounters, Opts);
+    for (TraceChunk C : Chunks) {
+      TraceChunk Copy = C;
+      addChunk(Rng, EventSched, C);
+      addChunk(Rng, DetectSched, Copy);
+    }
+    GapRecorder Chunked;
+    EventSched.drainAllowingGaps(Chunked);
+    RaceReport ChunkedReport;
+    HBDetector ChunkedDetector(ChunkedReport);
+    DetectSched.drainAllowingGaps(ChunkedDetector);
+
+    ASSERT_TRUE(EventSched.fullyDrained());
+    ASSERT_TRUE(DetectSched.fullyDrained());
+    EXPECT_EQ(Chunked.Gaps, Whole.Gaps);
+    EXPECT_EQ(EventSched.timestampGaps(), Whole.Gaps);
+    EXPECT_EQ(DetectSched.timestampGaps(), Whole.Gaps);
+    ASSERT_EQ(Chunked.Events.size(), Whole.Events.size());
+    for (size_t I = 0; I != Whole.Events.size(); ++I)
+      ASSERT_TRUE(sameEvent(Chunked.Events[I], Whole.Events[I])) << I;
+    EXPECT_EQ(ChunkedReport.describe(), WholeReport.describe());
+    EXPECT_EQ(ChunkedDetector.coverageGaps(), Whole.Gaps);
+  }
+}
+
+TEST(ReplaySchedulerTest, DrainAfterEveryChunkDeliversEverything) {
+  // The live path: drain after each arriving chunk. The delivery order
+  // then depends on arrival, but on a gap-free trace every event must be
+  // delivered and the detector must flag the same racy addresses as
+  // batch. Witness site pairs may legitimately differ: which earlier
+  // access a write prunes depends on the delivery order (see
+  // ReferenceDetector.h), so every live pair is checked against the
+  // all-pairs oracle instead.
+  SplitMix64 Rng(0xd7a1f00d);
+  for (int Trial = 0; Trial != 300; ++Trial) {
+    const Trace T = randomTrace(Rng, /*WithGaps=*/false);
+    SCOPED_TRACE(testing::Message() << "trial " << Trial);
+    RaceReport Batch;
+    ASSERT_TRUE(detectRaces(T, Batch));
+    RaceReport Oracle;
+    ASSERT_TRUE(detectRacesReference(T, Oracle));
+    const std::set<StaticRaceKey> TrueRaces = Oracle.keys();
+
+    std::vector<TraceChunk> Chunks = randomChunks(Rng, T);
+    ReplayScheduler Sched(T.NumTimestampCounters);
+    RaceReport Live;
+    HBDetector Detector(Live);
+    size_t Delivered = 0;
+    for (TraceChunk &C : Chunks) {
+      addChunk(Rng, Sched, C);
+      Delivered += Sched.drain(Detector);
+    }
+    EXPECT_TRUE(Sched.fullyDrained());
+    EXPECT_EQ(Delivered, T.totalEvents());
+    EXPECT_EQ(Detector.memoryEventsProcessed() +
+                  Detector.syncEventsProcessed(),
+              T.memoryOps() + T.syncOps());
+    EXPECT_EQ(Live.racyAddresses(), Batch.racyAddresses());
+    for (const StaticRaceKey &Key : Live.keys())
+      EXPECT_TRUE(TrueRaces.count(Key))
+          << Key.first << "/" << Key.second << " is not a race";
+  }
+}
+
+TEST(ReplaySchedulerTest, ForgedThreadIdCostsOneStream) {
+  // The stream decoder accepts any Tid below 2^20, so one CRC-valid
+  // record from a hostile client can name thread 2^20. Scheduler state
+  // must scale with the threads that have pending events, not with the
+  // largest id seen.
+  EventRecord R;
+  R.Kind = EventKind::Write;
+  R.Tid = 1u << 20;
+  R.Addr = 0x10;
+  const struct mallinfo2 Before = mallinfo2();
+  ReplayScheduler Sched(16);
+  Sched.addEvents(R.Tid, &R, 1);
+  const struct mallinfo2 After = mallinfo2();
+  const auto Allocated = [](const struct mallinfo2 &M) {
+    return static_cast<int64_t>(M.uordblks + M.hblkhd);
+  };
+  EXPECT_LT(Allocated(After) - Allocated(Before), int64_t(1) << 20);
+
+  Recorder Rec;
+  for (int I = 0; I != 100; ++I)
+    Sched.drain(Rec);
+  EXPECT_TRUE(Sched.fullyDrained());
+  ASSERT_EQ(Rec.Events.size(), 1u);
+  EXPECT_EQ(Rec.Events[0].Tid, 1u << 20);
 }
 
 } // namespace
