@@ -33,6 +33,10 @@
 
 namespace literace {
 
+/// The smallest encoded record: the header byte plus one-byte address and
+/// pc varints. So N encoded bytes hold at most N / 3 records.
+constexpr size_t MinEncodedRecordBytes = 3;
+
 /// Encodes one thread's event stream (program order) into \p Out,
 /// appending. Returns the number of bytes appended.
 size_t compressEventStream(const std::vector<EventRecord> &Stream,

@@ -17,6 +17,7 @@
 #include <chrono>
 #include <cstring>
 #include <fcntl.h>
+#include <sys/mman.h>
 #include <sys/stat.h>
 #include <thread>
 #include <unistd.h>
@@ -101,6 +102,20 @@ bool validRecords(const EventRecord *Records, size_t Count) {
   return true;
 }
 
+/// Reads up to \p Size bytes of \p Fd into \p Out, stopping short only
+/// at end of input or on an error. Returns the bytes read.
+size_t readUpTo(int Fd, uint8_t *Out, size_t Size) {
+  size_t Got = 0;
+  while (Got < Size) {
+    const ssize_t N = ::read(Fd, Out + Got, Size - Got);
+    if (N > 0)
+      Got += static_cast<size_t>(N);
+    else if (N == 0 || errno != EINTR)
+      break; // EOF, or an error: keep what was read
+  }
+  return Got;
+}
+
 /// A whole file held in one allocation (left uninitialized: read(2)
 /// fills the first Size bytes).
 struct FileBytes {
@@ -108,23 +123,21 @@ struct FileBytes {
   size_t Size = 0;
 };
 
-/// Reads \p Path with one open/fstat/read loop into a buffer sized from
-/// fstat, growing it only if the file grows (or, for a pipe, has no size
-/// up front). Deliberately not mmap: a file truncated under a mapping
-/// would SIGBUS the reader instead of reading as a truncated tail.
-std::optional<FileBytes> readWholeFile(const std::string &Path) {
-  const int Fd = ::open(Path.c_str(), O_RDONLY | O_CLOEXEC);
-  if (Fd < 0)
-    return std::nullopt;
+/// Reads \p Fd to its end into one buffer sized from fstat, after the
+/// \p PrefixSize bytes of it already read into \p Prefix. The buffer
+/// grows only if the file grows (or, for a pipe, has no size up front).
+/// Deliberately not mmap: a file truncated under a mapping would SIGBUS
+/// the reader instead of reading as a truncated tail.
+FileBytes readToEnd(int Fd, const uint8_t *Prefix, size_t PrefixSize) {
   struct stat St;
-  if (::fstat(Fd, &St) != 0) {
-    ::close(Fd);
-    return std::nullopt;
-  }
+  const size_t Known =
+      ::fstat(Fd, &St) == 0 ? static_cast<size_t>(St.st_size) : 0;
   // The slack lets EOF show as a short read instead of a full buffer.
-  size_t Cap = static_cast<size_t>(St.st_size) + (size_t{1} << 16);
+  size_t Cap = std::max(Known, PrefixSize) + (size_t{1} << 16);
   FileBytes F;
   F.Data = std::make_unique_for_overwrite<uint8_t[]>(Cap);
+  std::copy(Prefix, Prefix + PrefixSize, F.Data.get());
+  F.Size = PrefixSize;
   for (;;) {
     if (F.Size == Cap) {
       auto Grown = std::make_unique_for_overwrite<uint8_t[]>(Cap * 2);
@@ -132,13 +145,12 @@ std::optional<FileBytes> readWholeFile(const std::string &Path) {
       F.Data = std::move(Grown);
       Cap *= 2;
     }
-    const ssize_t N = ::read(Fd, F.Data.get() + F.Size, Cap - F.Size);
-    if (N > 0)
-      F.Size += static_cast<size_t>(N);
-    else if (N == 0 || errno != EINTR)
-      break; // EOF, or an error: keep what was read
+    const size_t Want = Cap - F.Size;
+    const size_t N = readUpTo(Fd, F.Data.get() + F.Size, Want);
+    F.Size += N;
+    if (N < Want)
+      break;
   }
-  ::close(Fd);
   return F;
 }
 
@@ -237,21 +249,54 @@ struct AppendToTrace {
   }
 };
 
+/// True if a data frame's payload can carry the EventCount its header
+/// claims: exactly, for raw records; at MinEncodedRecordBytes a record at
+/// the least, for compressed ones.
+bool payloadCarriesCount(const SegmentHeader &H) {
+  if (H.Encoding == SegEncodingRaw)
+    return H.PayloadBytes ==
+           static_cast<uint64_t>(H.EventCount) * sizeof(EventRecord);
+  return H.EventCount <= H.PayloadBytes / MinEncodedRecordBytes;
+}
+
+/// Asks for transparent huge pages under each stream of \p T: the 2 MiB
+/// aligned interior of its reserved capacity, so streams smaller than a
+/// huge page are left alone. Must run before appends first touch the
+/// pages. Advice only; failure (THP set to never) changes nothing.
+void adviseHugePages(Trace &T) {
+  constexpr uintptr_t HugePage = uintptr_t{2} << 20;
+  for (std::vector<EventRecord> &Stream : T.PerThread) {
+    const auto Begin = reinterpret_cast<uintptr_t>(Stream.data());
+    const uintptr_t End = Begin + Stream.capacity() * sizeof(EventRecord);
+    const uintptr_t First = (Begin + HugePage - 1) & ~(HugePage - 1);
+    const uintptr_t Last = End & ~(HugePage - 1);
+    if (First < Last)
+      ::madvise(reinterpret_cast<void *>(First), Last - First, MADV_HUGEPAGE);
+  }
+}
+
 /// Reserves Trace::PerThread from frame headers alone, so decoding
-/// appends without regrowing: sums the EventCount of header-CRC-valid
-/// raw frames, stopping at the first damaged header or incomplete frame.
-/// Every counted frame carries its records as file bytes, so the total
-/// reserved is at most Size / sizeof(EventRecord) whatever the headers
-/// claim.
-void reservePerThread(const uint8_t *Data, size_t Size, size_t O,
-                      Trace &T) {
+/// appends without regrowing, then advises huge pages under it. Walks the
+/// headers of \p Fd from offset \p O with pread (28 bytes each), stopping
+/// at the first damaged header or incomplete frame, and sums the
+/// EventCount of every data frame whose payload can carry it
+/// (payloadCarriesCount()). So the total reserved is at most
+/// fileSize / MinEncodedRecordBytes records whatever the headers claim.
+/// An input that cannot be seeked (a FIFO) is not reserved.
+void reservePerThread(int Fd, uint64_t O, Trace &T) {
+  struct stat St;
+  if (::fstat(Fd, &St) != 0 || !S_ISREG(St.st_mode))
+    return;
+  const uint64_t Size = static_cast<uint64_t>(St.st_size);
   std::vector<size_t> Counts;
+  uint8_t Bytes[sizeof(SegmentHeader)];
   SegmentHeader H;
-  while (parseSegmentHeader(Data + O, Size - O, H) &&
+  while (Size - std::min(O, Size) >= sizeof(SegmentHeader) &&
+         ::pread(Fd, Bytes, sizeof(Bytes), static_cast<off_t>(O)) ==
+             static_cast<ssize_t>(sizeof(Bytes)) &&
+         parseSegmentHeader(Bytes, sizeof(Bytes), H) &&
          Size - O - sizeof(SegmentHeader) >= H.PayloadBytes) {
-    if (H.Encoding == SegEncodingRaw && !(H.Flags & SegFlagFooter) &&
-        H.PayloadBytes ==
-            static_cast<uint64_t>(H.EventCount) * sizeof(EventRecord)) {
+    if (!(H.Flags & SegFlagFooter) && payloadCarriesCount(H)) {
       if (H.Tid >= Counts.size())
         Counts.resize(H.Tid + 1);
       Counts[H.Tid] += H.EventCount;
@@ -262,16 +307,7 @@ void reservePerThread(const uint8_t *Data, size_t Size, size_t O,
     T.PerThread.resize(Counts.size());
   for (size_t Tid = 0; Tid != Counts.size(); ++Tid)
     T.PerThread[Tid].reserve(Counts[Tid]);
-}
-
-/// readTrace()'s v2 path: reserve from the frames at \p FirstFrame on,
-/// then decode the whole file with the one v2 decoder.
-void readV2(const uint8_t *Data, size_t Size, size_t FirstFrame,
-            TraceReadResult &Res) {
-  reservePerThread(Data, Size, FirstFrame, Res.T);
-  SegmentStreamDecoder D;
-  D.decodeAll(Data, Size, Res.T);
-  Res.Stats = D.stats();
+  adviseHugePages(T);
 }
 
 /// Salvages a v1 raw (FileSink) stream: keeps the longest prefix of
@@ -687,49 +723,49 @@ const char *literace::traceFormatName(TraceFormat F) {
 TraceReadResult literace::readTrace(const std::string &Path,
                                     const TraceReadOptions &Options) {
   TraceReadResult Res;
-  auto File = readWholeFile(Path);
-  if (!File) {
+  const int Fd = ::open(Path.c_str(), O_RDONLY | O_CLOEXEC);
+  if (Fd < 0) {
     Res.Error = "cannot open " + Path;
     return Res;
   }
-  const uint8_t *Data = File->Data.get();
-  const size_t Size = File->Size;
   TraceReadStats &S = Res.Stats;
 
-  bool Parsed = false;
-  if (Size >= sizeof(FileHeader)) {
-    FileHeader Header;
-    std::memcpy(&Header, Data, sizeof(Header));
-    if (Header.Magic == FileMagic && Header.NumTimestampCounters != 0) {
-      if (Header.Version == FileVersion) {
-        S.Format = TraceFormat::V1Raw;
-        Res.T.NumTimestampCounters = Header.NumTimestampCounters;
-        parseV1Raw(Data, Size, Res);
-        Parsed = true;
-      } else if (Header.Version == SegmentedFileVersion) {
-        readV2(Data, Size, sizeof(FileHeader), Res);
-        Parsed = true;
-      }
+  // Sniff the format from the file header.
+  uint8_t Head[sizeof(FileHeader)];
+  const size_t HeadSize = readUpTo(Fd, Head, sizeof(Head));
+  FileHeader Header{};
+  if (HeadSize == sizeof(Header))
+    std::memcpy(&Header, Head, sizeof(Header));
+  const bool Framed =
+      Header.Magic == FileMagic && Header.NumTimestampCounters != 0;
+  bool Parsed = true;
+  if (Framed && Header.Version == FileVersion) {
+    const FileBytes File = readToEnd(Fd, Head, HeadSize);
+    S.Format = TraceFormat::V1Raw;
+    Res.T.NumTimestampCounters = Header.NumTimestampCounters;
+    parseV1Raw(File.Data.get(), File.Size, Res);
+    S.BytesRead = File.Size;
+  } else if (Header.Magic == 0x4C52436F6D7001ULL) {
+    const FileBytes File = readToEnd(Fd, Head, HeadSize);
+    S.Format = TraceFormat::V1Compressed;
+    parseV1Compressed(File.Data.get(), File.Size, Res);
+    S.BytesRead = File.Size;
+  } else {
+    // v2, or a damaged or missing file header: v2 frames are
+    // self-describing, so the decoder resyncs on the first valid one.
+    // Frames still start right after a merely damaged header, so the
+    // reservation walks them from there in both cases.
+    reservePerThread(Fd, sizeof(FileHeader), Res.T);
+    SegmentStreamDecoder D;
+    D.feed(Head, HeadSize);
+    const bool FoundFrame = D.decodeAll(Fd, Res.T);
+    Parsed = (Framed && Header.Version == SegmentedFileVersion) || FoundFrame;
+    if (Parsed) {
+      S = D.stats();
+      S.BytesRead = D.bytesConsumed();
     }
   }
-  if (!Parsed && Size >= 2 * sizeof(uint64_t)) {
-    uint64_t Magic;
-    std::memcpy(&Magic, Data, sizeof(Magic));
-    if (Magic == 0x4C52436F6D7001ULL) {
-      S.Format = TraceFormat::V1Compressed;
-      parseV1Compressed(Data, Size, Res);
-      Parsed = true;
-    }
-  }
-  if (!Parsed) {
-    // The file header itself is damaged or missing. v2 frames are
-    // self-describing, so scan for the first valid one and salvage.
-    size_t First = findNextHeader(Data, Size, 0);
-    if (First != Size) {
-      readV2(Data, Size, First, Res);
-      Parsed = true;
-    }
-  }
+  ::close(Fd);
   if (!Parsed) {
     Res.Error = "not a literace trace file: " + Path;
     return Res;
@@ -786,11 +822,13 @@ TraceReadResult literace::readTrace(const std::string &Path,
 
 std::vector<SegmentInfo> literace::scanSegments(const std::string &Path) {
   std::vector<SegmentInfo> Inventory;
-  auto File = readWholeFile(Path);
-  if (!File)
+  const int Fd = ::open(Path.c_str(), O_RDONLY | O_CLOEXEC);
+  if (Fd < 0)
     return Inventory;
-  const uint8_t *Data = File->Data.get();
-  const size_t Size = File->Size;
+  const FileBytes File = readToEnd(Fd, nullptr, 0);
+  ::close(Fd);
+  const uint8_t *Data = File.Data.get();
+  const size_t Size = File.Size;
 
   size_t O = 0;
   if (Size >= sizeof(FileHeader)) {
@@ -890,17 +928,60 @@ void SegmentStreamDecoder::feed(const void *Data, size_t Size) {
   Buffer.erase(Buffer.begin(), Buffer.begin() + Used);
 }
 
-void SegmentStreamDecoder::decodeAll(const void *Data, size_t Size,
-                                     Trace &T) {
-  assert(BytesFed == 0 && !Finished && "decodeAll needs a fresh decoder");
-  BytesFed = Size;
-  const uint8_t *P = static_cast<const uint8_t *>(Data);
+bool SegmentStreamDecoder::decodeAll(int Fd, Trace &T) {
+  assert(Ready.empty() && !Finished && "decodeAll after decoded frames");
   AppendToTrace Out{T};
-  const size_t Used = parse(P, Size, Out);
+  // The window: the unconsumed stream bytes sit at its front.
+  size_t Cap = std::max(ReadWindowBytes, Buffer.size());
+  auto Window = std::make_unique_for_overwrite<uint8_t[]>(Cap);
+  size_t Have = Buffer.size();
+  std::copy(Buffer.begin(), Buffer.end(), Window.get());
+  Buffer = {};
+  uint64_t Skipped = 0; // truncated-tail bytes counted but never held
+  for (;;) {
+    if (Have == Cap) {
+      // parse() left a full window: the head of one CRC-valid frame
+      // larger than the window. Grow to hold it only as far as its bytes
+      // are arriving.
+      SegmentHeader H;
+      [[maybe_unused]] const bool Valid =
+          parseSegmentHeader(Window.get(), Have, H);
+      assert(Valid && "only an unfinished frame can fill the window");
+      const size_t FrameBytes = sizeof(SegmentHeader) + H.PayloadBytes;
+      size_t Grown = std::min(FrameBytes, 2 * Cap); // a pipe: by doubling
+      struct stat St;
+      const off_t Pos = ::lseek(Fd, 0, SEEK_CUR);
+      if (Pos >= 0 && ::fstat(Fd, &St) == 0 && S_ISREG(St.st_mode)) {
+        const uint64_t Left =
+            St.st_size > Pos ? static_cast<uint64_t>(St.st_size - Pos) : 0;
+        if (Left < FrameBytes - Have) {
+          // The frame runs past the end of the file: a truncated tail.
+          Skipped = Left;
+          BytesFed += Left;
+          break;
+        }
+        Grown = FrameBytes;
+      }
+      auto Larger = std::make_unique_for_overwrite<uint8_t[]>(Grown);
+      std::memcpy(Larger.get(), Window.get(), Have);
+      Window = std::move(Larger);
+      Cap = Grown;
+    }
+    const size_t N = readUpTo(Fd, Window.get() + Have, Cap - Have);
+    if (N == 0)
+      break;
+    BytesFed += N;
+    Have += N;
+    const size_t Used = parse(Window.get(), Have, Out);
+    std::memmove(Window.get(), Window.get() + Used, Have - Used);
+    Have -= Used;
+  }
   Finished = true;
-  settle(P + Used, Size - Used);
+  // Past the window's bytes, settle() reads only the tail's header.
+  settle(Window.get(), Have + Skipped);
   T.PerThread.resize(Out.Threads);
   T.NumTimestampCounters = NumCounters;
+  return FrameSeen;
 }
 
 /// Walks the frames in Data[0, Size) and returns the offset it stopped
@@ -953,6 +1034,7 @@ size_t SegmentStreamDecoder::parse(const uint8_t *Data, size_t Size,
       continue;
     }
     ResyncOpen = false;
+    FrameSeen = true;
     const size_t FrameBytes = sizeof(SegmentHeader) + H.PayloadBytes;
     if (Size - O < FrameBytes)
       break; // The rest of the payload has not arrived (yet).

@@ -279,6 +279,9 @@ struct TraceReadStats {
   /// The file header itself was damaged and segments were recovered by
   /// scanning (v2 only).
   bool SalvagedHeader = false;
+  /// readTrace(): bytes of input the read covered (the file size, for a
+  /// file read to its end).
+  uint64_t BytesRead = 0;
   /// Events recovered / frames dropped, indexed by thread id.
   std::vector<uint64_t> PerThreadRecovered;
   std::vector<uint64_t> PerThreadDropped;
@@ -350,12 +353,21 @@ public:
   /// truncated tail. Idempotent; feed() after finish() is ignored.
   void finish();
 
-  /// On a fresh decoder: decodes a whole stream and finishes, appending
-  /// each segment straight to \p T.PerThread instead of queueing chunks
-  /// (readTrace()'s path; reserve the streams first to decode without
-  /// regrowing). PerThread ends one past the highest thread with a
-  /// recovered segment; T.NumTimestampCounters comes from the header.
-  void decodeAll(const void *Data, size_t Size, Trace &T);
+  /// Decodes the rest of the stream from \p Fd to its end and finishes,
+  /// appending each segment straight to \p T.PerThread instead of
+  /// queueing chunks (readTrace()'s path, after it feed()s the file
+  /// header it sniffed; reserve the streams first to decode without
+  /// regrowing). The bytes pass through one reused window of
+  /// ReadWindowBytes, which grows only to hold a CRC-valid frame larger
+  /// than itself whose bytes are arriving; a frame that runs past the end
+  /// of a regular file is counted as a truncated tail without being held.
+  /// PerThread ends one past the highest thread with a recovered segment;
+  /// T.NumTimestampCounters comes from the header. Returns false if no
+  /// CRC-valid frame header turned up anywhere in the stream.
+  bool decodeAll(int Fd, Trace &T);
+
+  /// Size of decodeAll()'s read window.
+  static constexpr size_t ReadWindowBytes = size_t{1} << 20;
 
   /// Declares an upstream hole of \p ShedBytes that will never arrive (a
   /// resuming client shed them at its spool cap; docs/ROBUSTNESS.md).
@@ -402,6 +414,7 @@ private:
   uint64_t BytesFed = 0;
   bool HeaderSeen = false;
   bool FooterSeen = false;
+  bool FrameSeen = false; ///< a CRC-valid frame header was parsed
   bool LastDecodedWasFooter = false;
   bool ResyncOpen = false; ///< current damage episode already counted
   bool Finished = false;

@@ -6,9 +6,10 @@
 // (docs/ROBUSTNESS.md), checked exhaustively: round trips, truncation at
 // EVERY byte offset, seeded bit flips, exact drop accounting, the
 // detection subset property — races reported from a salvaged trace are a
-// subset of the full-trace report — and a seeded mutation differential
+// subset of the full-trace report — a seeded mutation differential
 // of readTrace() against SegmentStreamDecoder, which share one frame
-// loop.
+// loop — and readTrace()'s bounded read window: frames, damage and
+// forged lengths at its edges, frames larger than it, and named pipes.
 //
 //===----------------------------------------------------------------------===//
 
@@ -20,10 +21,15 @@
 #include "support/SplitMix64.h"
 
 #include <algorithm>
+#include <cerrno>
 #include <cstdio>
 #include <cstring>
+#include <fcntl.h>
 #include <gtest/gtest.h>
 #include <string>
+#include <sys/stat.h>
+#include <thread>
+#include <unistd.h>
 #include <vector>
 
 using namespace literace;
@@ -559,6 +565,23 @@ TEST(SegmentedLogTest, MutatedFilesDecodeIdenticallyInBothReaders) {
   std::remove(MutPath.c_str());
 }
 
+/// A CRC-valid segment header (docs/LOG_FORMAT.md layout: magic,
+/// encoding, flags, reserved, tid, event count, payload bytes, payload
+/// CRC, header CRC).
+std::vector<uint8_t> forgeHeader(uint8_t Encoding, uint32_t Tid,
+                                 uint32_t EventCount, uint32_t PayloadBytes,
+                                 uint32_t PayloadCrc) {
+  std::vector<uint8_t> H(28);
+  const uint32_t Magic = 0x4753524Cu;
+  const uint32_t Fields[] = {Tid, EventCount, PayloadBytes, PayloadCrc};
+  std::memcpy(H.data(), &Magic, 4);
+  H[4] = Encoding;
+  std::memcpy(H.data() + 8, Fields, sizeof(Fields));
+  const uint32_t HeaderCrc = crc32c(H.data(), 24);
+  std::memcpy(H.data() + 24, &HeaderCrc, 4);
+  return H;
+}
+
 // A forged frame whose header checks out but claims a 64 MiB payload of
 // 2^21 events (or an absurd event count) in a file of a few KiB must not
 // drive a large allocation: PerThread is reserved only from frames whose
@@ -571,19 +594,13 @@ TEST(SegmentedLogTest, ForgedHugeFrameHeaderKeepsTheReservationBounded) {
   const std::vector<SegmentInfo> Frames = scanSegments(Path);
   ASSERT_GT(Frames.size(), 3u);
   for (uint32_t EventCount : {1u << 21, 0xFFFFFFFFu}) {
-    // Header layout (docs/LOG_FORMAT.md): magic, encoding, flags,
-    // reserved, tid, event count, payload bytes, payload CRC, header CRC.
-    uint8_t Forged[28] = {};
-    const uint32_t Magic = 0x4753524Cu;
-    const uint32_t Fields[] = {/*Tid=*/0, EventCount, /*PayloadBytes=*/1u << 26,
-                               /*PayloadCrc=*/0xDEADBEEFu};
-    std::memcpy(Forged, &Magic, 4);
-    std::memcpy(Forged + 8, Fields, sizeof(Fields));
-    const uint32_t HeaderCrc = crc32c(Forged, 24);
-    std::memcpy(Forged + 24, &HeaderCrc, 4);
+    const std::vector<uint8_t> Forged =
+        forgeHeader(/*Encoding=*/0, /*Tid=*/0, EventCount, 1u << 26,
+                    0xDEADBEEFu);
     // Forge it between the second and third frames.
     std::vector<uint8_t> Bytes = Clean;
-    Bytes.insert(Bytes.begin() + Frames[2].Offset, Forged, Forged + 28);
+    Bytes.insert(Bytes.begin() + Frames[2].Offset, Forged.begin(),
+                 Forged.end());
     writeFileBytes(Path, Bytes.data(), Bytes.size());
 
     const TraceReadResult R = readTrace(Path);
@@ -595,6 +612,260 @@ TEST(SegmentedLogTest, ForgedHugeFrameHeaderKeepsTheReservationBounded) {
     EXPECT_LE(Reserved, Bytes.size() / sizeof(EventRecord));
     EXPECT_EQ(R.Stats.EventsRecovered,
               uint64_t{Frames[0].EventCount} + Frames[1].EventCount);
+  }
+  std::remove(Path.c_str());
+}
+
+/// A trace of \p Threads threads with \p Events memory records each:
+/// bulk payload for the read-window tests, not a replayable execution.
+Trace bulkTrace(size_t Threads, size_t Events) {
+  SplitMix64 Rng(Threads * 1000003 + Events);
+  Trace T;
+  T.PerThread.resize(Threads);
+  for (size_t Tid = 0; Tid != Threads; ++Tid)
+    for (size_t I = 0; I != Events; ++I) {
+      EventRecord R;
+      R.Kind = Rng.nextBelow(2) ? EventKind::Read : EventKind::Write;
+      R.Tid = static_cast<uint32_t>(Tid);
+      R.Addr = 0x10000 + Rng.nextBelow(1u << 20) * 8;
+      R.Pc = 0x400000 + Rng.nextBelow(4096);
+      T.PerThread[Tid].push_back(R);
+    }
+  return T;
+}
+
+/// Checks \p R against a decode of \p Bytes with no read window: one
+/// feed() of the whole file runs the shared frame loop over it in a
+/// single pass.
+void expectWholeBufferResult(const TraceReadResult &R,
+                             const std::vector<uint8_t> &Bytes,
+                             const std::string &Where) {
+  SegmentStreamDecoder D;
+  D.feed(Bytes.data(), Bytes.size());
+  D.finish();
+  std::vector<std::vector<EventRecord>> Streams;
+  SegmentStreamDecoder::Chunk C;
+  while (D.take(C)) {
+    if (C.Tid >= Streams.size())
+      Streams.resize(C.Tid + 1);
+    Streams[C.Tid].insert(Streams[C.Tid].end(), C.Records.begin(),
+                          C.Records.end());
+  }
+  EXPECT_EQ(R.Stats.Format, TraceFormat::V2Segmented) << Where;
+  expectSameStats(R.Stats, D.stats(), Where);
+  EXPECT_EQ(R.Stats.BytesRead, Bytes.size()) << Where;
+  EXPECT_EQ(R.T.NumTimestampCounters, D.numTimestampCounters()) << Where;
+  EXPECT_TRUE(sameStreams(R.T.PerThread, Streams)) << Where;
+}
+
+constexpr size_t Window = SegmentStreamDecoder::ReadWindowBytes;
+
+// Multi-window files whose frame length divides no window: every window
+// ends inside a frame, whose head must carry over to the next one.
+TEST(SegmentedLogTest, FramesStraddlingEveryWindowEdgeReadWhole) {
+  const std::string Path = tempPath("seg_window_edges.bin");
+  const Trace T = bulkTrace(3, 40000); // 3.8 MB raw
+  for (bool Compress : {false, true})
+    for (size_t Chunk : {997u, 3001u, 20011u}) {
+      writeSegmented(T, Path, Chunk, Compress);
+      const std::vector<uint8_t> Bytes = readFileBytes(Path);
+      ASSERT_GT(Bytes.size(), Compress ? Window / 2 : 3 * Window);
+      const std::string Where = std::string(Compress ? "v2z" : "v2") +
+                                " chunk " + std::to_string(Chunk);
+      const TraceReadResult R = readTrace(Path);
+      ASSERT_EQ(R.Status, TraceReadStatus::Ok) << Where << ": " << R.Error;
+      EXPECT_TRUE(sameStreams(R.T.PerThread, T.PerThread)) << Where;
+      expectWholeBufferResult(R, Bytes, Where);
+    }
+  std::remove(Path.c_str());
+}
+
+// One raw frame of the writer's maximum 2^16 records is 2 MiB of
+// payload, larger than the window: the window must grow to hold it.
+TEST(SegmentedLogTest, FrameLargerThanTheWindowGrowsIt) {
+  const std::string Path = tempPath("seg_big_frame.bin");
+  Trace T = bulkTrace(2, 1u << 16);
+  T.PerThread[0].resize(1000); // a small frame first, off the window edge
+  writeSegmented(T, Path, 1u << 16);
+  const std::vector<SegmentInfo> Frames = scanSegments(Path);
+  ASSERT_EQ(Frames.size(), 3u);
+  ASSERT_EQ(Frames[1].EventCount, 1u << 16);
+  ASSERT_GT(Frames[1].PayloadBytes, Window);
+  const TraceReadResult R = readTrace(Path);
+  ASSERT_EQ(R.Status, TraceReadStatus::Ok) << R.Error;
+  EXPECT_TRUE(sameStreams(R.T.PerThread, T.PerThread));
+  expectWholeBufferResult(R, readFileBytes(Path), "2 MiB frame");
+  std::remove(Path.c_str());
+}
+
+// Garbage that runs across the first window's edge: the resync scan
+// reaches the window's end with no header found and carries its last 27
+// bytes over. The next valid header is placed at every offset around
+// that edge, so it starts inside the carried residue, on the edge, and
+// past it; each read must drop exactly the garbage.
+TEST(SegmentedLogTest, DamageAcrossAWindowEdgeResyncsExactly) {
+  const std::string Path = tempPath("seg_window_damage.bin");
+  writeSegmented(bulkTrace(2, 20000), Path, 1000);
+  const std::vector<uint8_t> Clean = readFileBytes(Path);
+  const std::vector<SegmentInfo> Frames = scanSegments(Path);
+  ASSERT_GT(Frames.size(), 3u);
+  // The file header and first frame, then garbage up to At, then the
+  // remaining frames (the footer's totals no longer match: one drop).
+  const size_t Kept = Frames[1].Offset;
+  const size_t Edge = 16 + Window; // the first window's end
+  for (size_t At = Edge - 40; At <= Edge + 8; ++At) {
+    std::vector<uint8_t> Bytes(Clean.begin(), Clean.begin() + Kept);
+    Bytes.resize(At, 0xA5);
+    Bytes.insert(Bytes.end(), Clean.begin() + Frames[2].Offset, Clean.end());
+    writeFileBytes(Path, Bytes.data(), Bytes.size());
+    const std::string Where = "next header at " + std::to_string(At);
+    const TraceReadResult R = readTrace(Path);
+    ASSERT_EQ(R.Status, TraceReadStatus::Salvaged) << Where;
+    EXPECT_EQ(R.Stats.SegmentsDropped, 1u) << Where;
+    EXPECT_EQ(R.Stats.BytesDropped, At - Kept) << Where;
+    EXPECT_FALSE(R.Stats.TruncatedTail) << Where;
+    expectWholeBufferResult(R, Bytes, Where);
+  }
+  std::remove(Path.c_str());
+}
+
+// A CRC-valid header claiming the largest payload a reader believes
+// (64 MiB) reads as a truncated tail, whether the file ends within the
+// first window or runs on for megabytes past the forged header; in the
+// long file the frame is counted to the end without being held.
+TEST(SegmentedLogTest, ForgedMaxPayloadHeaderReadsAsATruncatedTail) {
+  const std::string Path = tempPath("seg_forged_max.bin");
+  for (size_t Events : {3000u, 60000u}) {
+    writeSegmented(bulkTrace(2, Events), Path, 997);
+    const std::vector<uint8_t> Clean = readFileBytes(Path);
+    const std::vector<SegmentInfo> Frames = scanSegments(Path);
+    ASSERT_GT(Frames.size(), 3u);
+    const std::vector<uint8_t> Forged =
+        forgeHeader(0, 1, 1u << 21, 1u << 26, 0xDEADBEEFu);
+    std::vector<uint8_t> Bytes = Clean;
+    Bytes.insert(Bytes.begin() + Frames[2].Offset, Forged.begin(),
+                 Forged.end());
+    writeFileBytes(Path, Bytes.data(), Bytes.size());
+    const std::string Where = std::to_string(Bytes.size()) + " bytes";
+    const TraceReadResult R = readTrace(Path);
+    ASSERT_EQ(R.Status, TraceReadStatus::Salvaged) << Where;
+    EXPECT_TRUE(R.Stats.TruncatedTail) << Where;
+    EXPECT_EQ(R.Stats.SegmentsDropped, 1u) << Where;
+    EXPECT_EQ(R.Stats.BytesDropped, Bytes.size() - Frames[2].Offset) << Where;
+    EXPECT_EQ(R.Stats.EventsRecovered,
+              uint64_t{Frames[0].EventCount} + Frames[1].EventCount)
+        << Where;
+    expectWholeBufferResult(R, Bytes, Where);
+  }
+  std::remove(Path.c_str());
+}
+
+// v2z frames are reserved too, so a v2z read fills each stream without
+// regrowing it. A compressed frame whose header claims more records than
+// its payload could encode (MinEncodedRecordBytes each) reserves nothing:
+// the forged claims below cannot lift the reservation past that bound.
+TEST(SegmentedLogTest, CompressedFramesReserveWithinTheirPayloadBound) {
+  const std::string Path = tempPath("seg_reserve_z.bin");
+  writeSegmented(bulkTrace(3, 5000), Path, 700, /*Compress=*/true);
+  const TraceReadResult Clean = readTrace(Path);
+  ASSERT_EQ(Clean.Status, TraceReadStatus::Ok) << Clean.Error;
+  for (const auto &Stream : Clean.T.PerThread)
+    EXPECT_EQ(Stream.capacity(), Stream.size());
+
+  std::vector<uint8_t> Bytes = readFileBytes(Path);
+  const std::vector<SegmentInfo> Frames = scanSegments(Path);
+  const SegmentInfo &Real = Frames[0];
+  const std::vector<uint8_t> Payload(
+      Bytes.begin() + Real.Offset + 28,
+      Bytes.begin() + Real.Offset + 28 + Real.PayloadBytes);
+  const uint32_t Bound = Real.PayloadBytes / MinEncodedRecordBytes;
+  // Forged copies of the first frame ahead of it, with intact payloads.
+  for (uint32_t Claim : {Bound + 1, 0xFFFFFFFFu}) {
+    std::vector<uint8_t> Frame =
+        forgeHeader(1, Real.Tid, Claim, Real.PayloadBytes,
+                    crc32c(Payload.data(), Payload.size()));
+    Frame.insert(Frame.end(), Payload.begin(), Payload.end());
+    Bytes.insert(Bytes.begin() + Real.Offset, Frame.begin(), Frame.end());
+  }
+  writeFileBytes(Path, Bytes.data(), Bytes.size());
+  const TraceReadResult R = readTrace(Path);
+  ASSERT_EQ(R.Status, TraceReadStatus::Salvaged) << R.Error;
+  EXPECT_EQ(R.Stats.SegmentsDropped, 2u);
+  EXPECT_TRUE(sameStreams(R.T.PerThread, Clean.T.PerThread));
+  const auto &Forged = R.T.PerThread[Real.Tid];
+  EXPECT_LE(Forged.capacity(), Forged.size() + 2 * Bound);
+  expectWholeBufferResult(R, Bytes, "forged v2z counts");
+  std::remove(Path.c_str());
+}
+
+/// Reads \p Bytes with readTrace() through a named pipe at \p Fifo, fed
+/// by a writer thread in pieces of up to 64 KiB.
+TraceReadResult readThroughFifo(const std::vector<uint8_t> &Bytes,
+                                const std::string &Fifo) {
+  std::remove(Fifo.c_str());
+  EXPECT_EQ(::mkfifo(Fifo.c_str(), 0600), 0) << Fifo;
+  std::thread Writer([&] {
+    const int Fd = ::open(Fifo.c_str(), O_WRONLY | O_CLOEXEC);
+    SplitMix64 Rng(Bytes.size());
+    for (size_t At = 0; Fd >= 0 && At < Bytes.size();) {
+      const size_t Piece =
+          std::min<size_t>(Bytes.size() - At, 1 + Rng.nextBelow(1u << 16));
+      const ssize_t N = ::write(Fd, Bytes.data() + At, Piece);
+      if (N < 0 && errno == EINTR)
+        continue;
+      if (N <= 0)
+        break;
+      At += static_cast<size_t>(N);
+    }
+    if (Fd >= 0)
+      ::close(Fd);
+  });
+  TraceReadResult R = readTrace(Fifo);
+  Writer.join();
+  std::remove(Fifo.c_str());
+  return R;
+}
+
+// A named pipe cannot be seeked or sized: the read skips the reservation
+// and grows the window for a big frame by doubling. None of that may
+// change the result: it must equal reading the same bytes from a file.
+TEST(SegmentedLogTest, NamedPipeReadsLikeTheFile) {
+  const std::string Path = tempPath("seg_fifo_src.bin");
+  const std::string Fifo = tempPath("seg_fifo");
+  Trace Big = bulkTrace(2, 1u << 16);
+  Big.PerThread[0].resize(1000);
+  struct Case {
+    const char *Name;
+    const Trace &T;
+    size_t Chunk;
+    bool Compress;
+    bool ForgeTail; // a forged 64 MiB header after the second frame
+  };
+  const Trace Bulk = bulkTrace(3, 20000);
+  const Case Cases[] = {{"v2", Bulk, 3001, false, false},
+                        {"v2z", Bulk, 3001, true, false},
+                        {"2 MiB frame", Big, 1u << 16, false, false},
+                        {"forged tail", Bulk, 3001, false, true}};
+  for (const Case &C : Cases) {
+    writeSegmented(C.T, Path, C.Chunk, C.Compress);
+    if (C.ForgeTail) {
+      std::vector<uint8_t> Bytes = readFileBytes(Path);
+      const std::vector<uint8_t> Forged =
+          forgeHeader(0, 0, 1u << 21, 1u << 26, 0);
+      Bytes.insert(Bytes.begin() + scanSegments(Path)[2].Offset,
+                   Forged.begin(), Forged.end());
+      writeFileBytes(Path, Bytes.data(), Bytes.size());
+    }
+    const TraceReadResult File = readTrace(Path);
+    const TraceReadResult Pipe = readThroughFifo(readFileBytes(Path), Fifo);
+    ASSERT_TRUE(File.readable()) << C.Name;
+    EXPECT_EQ(Pipe.Status, File.Status) << C.Name;
+    EXPECT_EQ(Pipe.Error, File.Error) << C.Name;
+    EXPECT_EQ(Pipe.Stats.Format, File.Stats.Format) << C.Name;
+    EXPECT_EQ(Pipe.Stats.BytesRead, File.Stats.BytesRead) << C.Name;
+    expectSameStats(Pipe.Stats, File.Stats, C.Name);
+    EXPECT_EQ(Pipe.T.NumTimestampCounters, File.T.NumTimestampCounters);
+    EXPECT_TRUE(sameStreams(Pipe.T.PerThread, File.T.PerThread)) << C.Name;
   }
   std::remove(Path.c_str());
 }

@@ -453,6 +453,66 @@ TEST(ToolsTest, V1FormatFlagKeepsTheLegacyPipelineWorking) {
   std::remove(Log.c_str());
 }
 
+// literace-report reads a named pipe as it reads the file: same report,
+// same exit code. The pipe cannot be seeked or sized up front.
+TEST(ToolsTest, ReportReadsANamedPipe) {
+  const std::string Log = tempLog();
+  const std::string Fifo = std::string(::testing::TempDir()) + "toolstest.fifo";
+  ASSERT_EQ(runCommand(toolPath("literace-run") + " channel " + Log +
+                       " --mode full --scale 0.05")
+                .first,
+            0);
+  std::remove(Fifo.c_str());
+  ASSERT_EQ(::mkfifo(Fifo.c_str(), 0600), 0);
+  // stderr carries the path and the timing line; compare stdout only.
+  auto [FileCode, FileOut] = runCommand(
+      "(" + toolPath("literace-report") + " " + Log + " 2>/dev/null)");
+  auto [PipeCode, PipeOut] =
+      runCommand("(cat " + Log + " > " + Fifo + " & " +
+                 toolPath("literace-report") + " " + Fifo + " 2>/dev/null)");
+  EXPECT_EQ(FileCode, 3) << FileOut;
+  EXPECT_EQ(PipeCode, FileCode) << PipeOut;
+  EXPECT_EQ(PipeOut, FileOut);
+  std::remove(Fifo.c_str());
+  std::remove(Log.c_str());
+  std::remove((Log + ".metrics.json").c_str());
+}
+
+// --stats prints one line per stage; their wall times add up to the
+// tool's own ("stage total"), and the read line carries the bytes read
+// and the read's minor page faults.
+TEST(ToolsTest, ReportStatsTimesEveryStage) {
+  const std::string Log = tempLog();
+  ASSERT_EQ(runCommand(toolPath("literace-run") + " channel " + Log +
+                       " --mode full --scale 0.05")
+                .first,
+            0);
+  auto [Code, Out] =
+      runCommand(toolPath("literace-report") + " " + Log + " --stats --quiet");
+  EXPECT_EQ(Code, 3) << Out;
+  std::map<std::string, double> WallMs;
+  for (const char *Stage : {"read", "detect", "render", "total"}) {
+    const std::string Tag = std::string("stage ") + Stage + ": ";
+    const size_t At = Out.find(Tag);
+    ASSERT_NE(At, std::string::npos) << Stage << "\n" << Out;
+    const std::string Line = Out.substr(At, Out.find('\n', At) - At);
+    const size_t Wall = Line.find(" ms wall");
+    ASSERT_NE(Wall, std::string::npos) << Line;
+    WallMs[Stage] = std::atof(Line.c_str() + Line.rfind(' ', Wall - 1) + 1);
+    EXPECT_NE(Line.find(" ms cpu"), std::string::npos) << Line;
+    if (std::string(Stage) == "read") {
+      EXPECT_NE(Line.find(" MB, "), std::string::npos) << Line;
+      EXPECT_NE(Line.find(" minor faults"), std::string::npos) << Line;
+    }
+  }
+  const double Sum = WallMs["read"] + WallMs["detect"] + WallMs["render"];
+  // Each figure is printed to 0.1 ms.
+  EXPECT_LE(Sum, WallMs["total"] + 0.2) << Out;
+  EXPECT_GE(Sum, 0.9 * WallMs["total"] - 0.2) << Out;
+  std::remove(Log.c_str());
+  std::remove((Log + ".metrics.json").c_str());
+}
+
 TEST(ToolsTest, FsckPassesCleanLogsOfEveryFormat) {
   for (const char *Format : {"v1", "v2", "v2z"}) {
     std::string Log = tempLog();

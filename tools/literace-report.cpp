@@ -20,6 +20,10 @@
 // the recovered subset of the execution, with the coverage loss printed.
 // --strict restores fail-stop behavior: any imperfection is exit 1.
 //
+// --stats adds the trace profile and one line per stage (read, detect,
+// render) with its wall and CPU time, plus the bytes read and minor page
+// faults taken by the read; the stages add up to the "total" line.
+//
 //===----------------------------------------------------------------------===//
 
 #include "detector/FastTrackDetector.h"
@@ -35,6 +39,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <string>
+#include <sys/resource.h>
 
 using namespace literace;
 
@@ -98,9 +103,58 @@ bool readSuppressions(const std::string &Path, std::set<Pc> &Out) {
   return true;
 }
 
+/// Wall time, CPU time and minor page faults spent in one stage, summed
+/// over its start()/stop() spans (CPU and faults from getrusage).
+class StageClock {
+public:
+  void start() {
+    Wall.restart();
+    Begin = usage();
+  }
+  void stop() {
+    const Usage End = usage();
+    WallMs += Wall.seconds() * 1e3;
+    CpuMs += End.CpuMs - Begin.CpuMs;
+    MinorFaults += End.MinorFaults - Begin.MinorFaults;
+  }
+  double wallMs() const { return WallMs; }
+  double cpuMs() const { return CpuMs; }
+  long minorFaults() const { return MinorFaults; }
+
+private:
+  struct Usage {
+    double CpuMs = 0;
+    long MinorFaults = 0;
+  };
+  static Usage usage() {
+    struct rusage U;
+    ::getrusage(RUSAGE_SELF, &U);
+    auto Ms = [](const timeval &T) {
+      return static_cast<double>(T.tv_sec) * 1e3 +
+             static_cast<double>(T.tv_usec) / 1e3;
+    };
+    return {Ms(U.ru_utime) + Ms(U.ru_stime), U.ru_minflt};
+  }
+
+  WallTimer Wall;
+  Usage Begin;
+  double WallMs = 0;
+  double CpuMs = 0;
+  long MinorFaults = 0;
+};
+
+/// Prints one --stats stage line: "stage <name>: <wall> ms wall, <cpu> ms
+/// cpu".
+void printStage(const char *Name, const StageClock &C) {
+  std::printf("stage %s: %.1f ms wall, %.1f ms cpu\n", Name, C.wallMs(),
+              C.cpuMs());
+}
+
 } // namespace
 
 int main(int Argc, char **Argv) {
+  StageClock Total, ReadStage, DetectStage, RenderStage;
+  Total.start();
   if (Argc < 2)
     return usage(Argv[0]);
   std::string Path = Argv[1];
@@ -143,7 +197,10 @@ int main(int Argc, char **Argv) {
   // unless --strict.
   TraceReadOptions ReadOpts;
   ReadOpts.Salvage = Salvage;
+  ReadStage.start();
   TraceReadResult Read = readTrace(Path, ReadOpts);
+  ReadStage.stop();
+  RenderStage.start();
   if (!Read.readable()) {
     std::fprintf(stderr, "error: '%s' is not a readable literace log%s%s\n",
                  Path.c_str(), Read.Error.empty() ? "" : ": ",
@@ -186,7 +243,8 @@ int main(int Argc, char **Argv) {
   }
 
   RaceReport Report;
-  WallTimer Timer;
+  RenderStage.stop();
+  DetectStage.start();
   bool Consistent;
   if (Detector == "hb") {
     Consistent = detectRaces(*T, Report, Replay);
@@ -201,7 +259,9 @@ int main(int Argc, char **Argv) {
                  Detector.c_str());
     return usage(Argv[0]);
   }
-  double Seconds = Timer.seconds();
+  DetectStage.stop();
+  const double Seconds = DetectStage.wallMs() / 1e3;
+  RenderStage.start();
   if (!Consistent) {
     std::fprintf(stderr, "error: log is inconsistent (missing or "
                          "duplicated sync events)\n");
@@ -266,6 +326,18 @@ int main(int Argc, char **Argv) {
       std::fprintf(stderr, "wrote %s and %s (%zu timeline events)\n",
                    MetricsPath.c_str(), TracePath.c_str(),
                    Timeline.size());
+  }
+  if (Stats) {
+    RenderStage.stop();
+    Total.stop();
+    std::printf("stage read: %.1f MB, %.1f ms wall, %.1f ms cpu, %ld minor "
+                "faults\n",
+                static_cast<double>(Read.Stats.BytesRead) / 1e6,
+                ReadStage.wallMs(), ReadStage.cpuMs(),
+                ReadStage.minorFaults());
+    printStage("detect", DetectStage);
+    printStage("render", RenderStage);
+    printStage("total", Total);
   }
   return Remaining == 0 ? 0 : 3;
 }
