@@ -22,12 +22,14 @@ constexpr uint64_t CompressedMagic = 0x4C52436F6D7001ULL;
 /// Per-event header byte: low 4 bits the kind, high bits flags.
 constexpr uint8_t FlagHasMask = 0x10;
 
-void putVarint(std::vector<uint8_t> &Out, uint64_t V) {
+/// Writes \p V as a varint at \p P and returns the byte past it.
+uint8_t *putVarint(uint8_t *P, uint64_t V) {
   while (V >= 0x80) {
-    Out.push_back(static_cast<uint8_t>(V) | 0x80);
+    *P++ = static_cast<uint8_t>(V) | 0x80;
     V >>= 7;
   }
-  Out.push_back(static_cast<uint8_t>(V));
+  *P++ = static_cast<uint8_t>(V);
+  return P;
 }
 
 bool getVarint(const uint8_t *&P, const uint8_t *End, uint64_t &V) {
@@ -56,51 +58,62 @@ int64_t unzigzag(uint64_t V) {
 
 } // namespace
 
-size_t literace::compressEventStream(const std::vector<EventRecord> &Stream,
+size_t literace::compressEventStream(const EventRecord *Records,
+                                     size_t Count,
                                      std::vector<uint8_t> &Out) {
-  size_t Before = Out.size();
+  const size_t Before = Out.size();
+  // Size for the worst case, write through a pointer, then trim.
+  Out.resize(Before + Count * MaxEncodedRecordBytes);
+  uint8_t *P = Out.data() + Before;
   uint64_t PrevAddr = 0;
   uint64_t PrevPc = 0;
   uint64_t PrevTs = 0;
   uint16_t PrevMask = 0;
-  for (const EventRecord &R : Stream) {
+  for (size_t I = 0; I != Count; ++I) {
+    const EventRecord &R = Records[I];
     uint8_t Header = static_cast<uint8_t>(R.Kind);
     assert(Header < 0x10 && "kind must fit the header's low bits");
     if (R.Mask != PrevMask)
       Header |= FlagHasMask;
-    Out.push_back(Header);
-    putVarint(Out, zigzag(static_cast<int64_t>(R.Addr - PrevAddr)));
-    putVarint(Out, zigzag(static_cast<int64_t>(R.Pc - PrevPc)));
-    if (isSyncKind(R.Kind))
-      putVarint(Out, zigzag(static_cast<int64_t>(R.Ts - PrevTs)));
+    *P++ = Header;
+    P = putVarint(P, zigzag(static_cast<int64_t>(R.Addr - PrevAddr)));
+    P = putVarint(P, zigzag(static_cast<int64_t>(R.Pc - PrevPc)));
+    if (isSyncKind(R.Kind)) {
+      P = putVarint(P, zigzag(static_cast<int64_t>(R.Ts - PrevTs)));
+      PrevTs = R.Ts;
+    }
     if (Header & FlagHasMask) {
-      putVarint(Out, R.Mask);
+      P = putVarint(P, R.Mask);
       PrevMask = R.Mask;
     }
     PrevAddr = R.Addr;
     PrevPc = R.Pc;
-    if (isSyncKind(R.Kind))
-      PrevTs = R.Ts;
   }
+  Out.resize(static_cast<size_t>(P - Out.data()));
   return Out.size() - Before;
 }
 
 size_t literace::decompressEventStreamInto(const uint8_t *Data, size_t Size,
                                           ThreadId Tid,
-                                          std::vector<EventRecord> &Out) {
+                                          std::vector<EventRecord> &Out,
+                                          EventKindCounts *Counts) {
   const uint8_t *P = Data;
   const uint8_t *End = Data + Size;
   uint64_t PrevAddr = 0;
   uint64_t PrevPc = 0;
   uint64_t PrevTs = 0;
   uint16_t PrevMask = 0;
+  EventKindCounts Seen;
+  const uint8_t *Stop = End; // the end of the cleanly decoded prefix
   while (P != End) {
     const uint8_t *RecordStart = P;
     uint8_t Header = *P++;
     uint8_t KindBits = Header & 0x0f;
     if (KindBits > static_cast<uint8_t>(EventKind::PolicyMeta) ||
-        (Header & ~uint8_t(0x0f | FlagHasMask)))
-      return static_cast<size_t>(RecordStart - Data);
+        (Header & ~uint8_t(0x0f | FlagHasMask))) {
+      Stop = RecordStart;
+      break;
+    }
     EventRecord R;
     R.Kind = static_cast<EventKind>(KindBits);
     R.Tid = Tid;
@@ -121,14 +134,19 @@ size_t literace::decompressEventStreamInto(const uint8_t *Data, size_t Size,
       if (Ok)
         PrevMask = static_cast<uint16_t>(V);
     }
-    if (!Ok) // Truncated or malformed record: keep the prefix so far.
-      return static_cast<size_t>(RecordStart - Data);
+    if (!Ok) { // Truncated or malformed record: keep the prefix so far.
+      Stop = RecordStart;
+      break;
+    }
     R.Mask = PrevMask;
     PrevAddr = R.Addr;
     PrevPc = R.Pc;
+    Seen.note(R.Kind);
     Out.push_back(R);
   }
-  return Size;
+  if (Counts)
+    *Counts += Seen;
+  return static_cast<size_t>(Stop - Data);
 }
 
 PartialDecode literace::decompressEventStreamPartial(const uint8_t *Data,

@@ -37,10 +37,21 @@ namespace literace {
 /// pc varints. So N encoded bytes hold at most N / 3 records.
 constexpr size_t MinEncodedRecordBytes = 3;
 
-/// Encodes one thread's event stream (program order) into \p Out,
-/// appending. Returns the number of bytes appended.
-size_t compressEventStream(const std::vector<EventRecord> &Stream,
+/// The largest encoded record: the header byte, ten-byte varints for the
+/// zig-zagged address, pc and timestamp deltas (64 bits at 7 per byte),
+/// and a three-byte varint for a 16-bit mask. So N records encode into at
+/// most N * MaxEncodedRecordBytes bytes.
+constexpr size_t MaxEncodedRecordBytes = 1 + 3 * 10 + 3;
+
+/// Encodes \p Count records of one thread's event stream (program order)
+/// into \p Out, appending. Returns the number of bytes appended.
+size_t compressEventStream(const EventRecord *Records, size_t Count,
                            std::vector<uint8_t> &Out);
+
+inline size_t compressEventStream(const std::vector<EventRecord> &Stream,
+                                  std::vector<uint8_t> &Out) {
+  return compressEventStream(Stream.data(), Stream.size(), Out);
+}
 
 /// Decodes a stream previously produced by compressEventStream. \p Tid
 /// is stamped into every record (it is not stored in the encoding).
@@ -60,9 +71,11 @@ struct PartialDecode {
 
 /// Appends the records decoded from \p Data to \p Out, stopping at the
 /// first malformed byte. Returns the bytes the decoded prefix consumed
-/// (\p Size when the whole input decoded cleanly).
+/// (\p Size when the whole input decoded cleanly). When \p Counts is set,
+/// the appended records' kinds are added to it.
 size_t decompressEventStreamInto(const uint8_t *Data, size_t Size,
-                                 ThreadId Tid, std::vector<EventRecord> &Out);
+                                 ThreadId Tid, std::vector<EventRecord> &Out,
+                                 EventKindCounts *Counts = nullptr);
 
 /// Like decompressEventStream but keeps the longest cleanly decoded
 /// prefix instead of rejecting the whole stream. Never fails: a garbage

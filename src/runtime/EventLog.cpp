@@ -202,33 +202,55 @@ void appendStream(Trace &T, TraceReadStats &S, uint32_t Tid,
     T.PerThread.resize(Tid + 1);
   T.PerThread[Tid].insert(T.PerThread[Tid].end(), Records, Records + Count);
   S.EventsRecovered += Count;
+  EventKindCounts Counts;
+  for (size_t I = 0; I != Count; ++I)
+    Counts.note(Records[I].Kind);
+  S.MemoryEvents += Counts.Memory;
+  S.SyncEvents += Counts.Sync;
   noteThreadRecovered(S, Tid, Count);
 }
 
-/// Appends one frame's payload to \p Records: raw records are copied
-/// straight in and kind-validated in place, compressed ones decoded in.
-/// A payload that fails either check is trimmed back off; returns false.
-bool appendPayload(const SegmentHeader &H, const uint8_t *Payload,
-                   std::vector<EventRecord> &Records) {
+/// Appends a raw frame's records to \p Records in one pass: each record
+/// is copied in, folded into the payload CRC32C, kind-checked and counted
+/// into \p Counts. The header must carry its count (payloadCarriesCount()).
+/// On a CRC or kind failure the records are trimmed back off and false
+/// returned; \p Counts then counts nothing kept.
+bool appendRawPayload(const SegmentHeader &H, const uint8_t *Payload,
+                      std::vector<EventRecord> &Records,
+                      EventKindCounts &Counts) {
   const size_t Base = Records.size();
-  bool Ok;
-  if (H.Encoding == SegEncodingRaw) {
-    Ok = H.PayloadBytes ==
-         static_cast<uint64_t>(H.EventCount) * sizeof(EventRecord);
-    if (Ok && H.EventCount) {
-      Records.resize(Base + H.EventCount);
-      // memcpy: the payload is only 4-byte aligned in the file.
-      std::memcpy(Records.data() + Base, Payload, H.PayloadBytes);
-      Ok = validRecords(Records.data() + Base, H.EventCount);
-    }
-  } else {
-    Ok = decompressEventStreamInto(Payload, H.PayloadBytes, H.Tid,
-                                   Records) == H.PayloadBytes &&
-         Records.size() - Base == H.EventCount;
+  Records.resize(Base + H.EventCount);
+  EventRecord *Out = Records.data() + Base;
+  uint32_t Crc = crc32cInit();
+  bool KindsOk = true;
+  for (uint32_t I = 0; I != H.EventCount; ++I) {
+    const uint8_t *In = Payload + size_t{I} * sizeof(EventRecord);
+    // memcpy: the payload is only 4-byte aligned in the file.
+    std::memcpy(&Out[I], In, sizeof(EventRecord));
+    Crc = crc32cUpdate(Crc, In, sizeof(EventRecord));
+    KindsOk &= validKind(static_cast<uint8_t>(Out[I].Kind));
+    Counts.note(Out[I].Kind);
   }
-  if (!Ok)
-    Records.resize(Base);
-  return Ok;
+  if (crc32cFinal(Crc) == H.PayloadCrc && KindsOk)
+    return true;
+  Records.resize(Base);
+  return false;
+}
+
+/// Decodes a compressed frame's payload (CRC already checked) onto
+/// \p Records, counting kinds into \p Counts. A payload that is malformed
+/// or decodes to another count than its header's is trimmed back off and
+/// false returned; \p Counts then counts nothing kept.
+bool appendCompressedPayload(const SegmentHeader &H, const uint8_t *Payload,
+                             std::vector<EventRecord> &Records,
+                             EventKindCounts &Counts) {
+  const size_t Base = Records.size();
+  if (decompressEventStreamInto(Payload, H.PayloadBytes, H.Tid, Records,
+                                &Counts) == H.PayloadBytes &&
+      Records.size() - Base == H.EventCount)
+    return true;
+  Records.resize(Base);
+  return false;
 }
 
 /// Frame-loop consumer of readTrace(): appends straight into
@@ -599,8 +621,7 @@ bool SegmentedFileSink::writeFrame(ThreadId Tid, const EventRecord *Records,
   Frame.clear();
   Frame.resize(sizeof(SegmentHeader));
   if (Compress) {
-    Slice.assign(Records, Records + Count);
-    compressEventStream(Slice, Frame);
+    compressEventStream(Records, Count, Frame);
   } else {
     const uint8_t *Bytes = reinterpret_cast<const uint8_t *>(Records);
     Frame.insert(Frame.end(), Bytes, Bytes + Count * sizeof(EventRecord));
@@ -816,6 +837,7 @@ TraceReadResult literace::readTrace(const std::string &Path,
     Res.Status = TraceReadStatus::Unreadable;
     Res.Error = "strict mode refused damaged trace: " + Note;
     Res.T.PerThread.clear();
+    S.MemoryEvents = S.SyncEvents = 0;
   }
   return Res;
 }
@@ -1042,26 +1064,35 @@ size_t SegmentStreamDecoder::parse(const uint8_t *Data, size_t Size,
     const uint8_t *Payload = Data + O + sizeof(SegmentHeader);
     const bool IsFooter = (H.Flags & SegFlagFooter) != 0;
     bool Decoded = false;
-    if (crc32c(Payload, H.PayloadBytes) == H.PayloadCrc) {
-      if (IsFooter) {
-        if (H.PayloadBytes == sizeof(SegmentFooterPayload) ||
-            H.PayloadBytes == LegacyFooterPayloadBytes) {
-          // memcpy field-wise: legacy footers stop after TotalSegments.
-          SegmentFooterPayload Footer{};
-          std::memcpy(&Footer, Payload, H.PayloadBytes);
-          FooterTotalEvents = Footer.TotalEvents;
-          FooterTotalSegments = Footer.TotalSegments;
-          FooterDroppedEvents = Footer.DroppedEvents;
-          FooterSeen = Decoded = true;
-        }
-      } else {
-        Decoded = appendPayload(H, Payload, Out.open(H.Tid));
-        Out.close(H.Tid, Decoded);
-        if (Decoded) {
-          Stats.EventsRecovered += H.EventCount;
-          noteThreadRecovered(Stats, H.Tid, H.EventCount);
-          ++Stats.SegmentsRecovered;
-        }
+    if (IsFooter) {
+      if ((H.PayloadBytes == sizeof(SegmentFooterPayload) ||
+           H.PayloadBytes == LegacyFooterPayloadBytes) &&
+          crc32c(Payload, H.PayloadBytes) == H.PayloadCrc) {
+        // memcpy field-wise: legacy footers stop after TotalSegments.
+        SegmentFooterPayload Footer{};
+        std::memcpy(&Footer, Payload, H.PayloadBytes);
+        FooterTotalEvents = Footer.TotalEvents;
+        FooterTotalSegments = Footer.TotalSegments;
+        FooterDroppedEvents = Footer.DroppedEvents;
+        FooterSeen = Decoded = true;
+      }
+    } else if (payloadCarriesCount(H)) {
+      // A raw payload is checked in the same pass that copies it; a
+      // compressed one is checked before it is decoded.
+      EventKindCounts Counts;
+      std::vector<EventRecord> &Records = Out.open(H.Tid);
+      Decoded = H.Encoding == SegEncodingRaw
+                    ? appendRawPayload(H, Payload, Records, Counts)
+                    : crc32c(Payload, H.PayloadBytes) == H.PayloadCrc &&
+                          appendCompressedPayload(H, Payload, Records,
+                                                  Counts);
+      Out.close(H.Tid, Decoded);
+      if (Decoded) {
+        Stats.EventsRecovered += H.EventCount;
+        Stats.MemoryEvents += Counts.Memory;
+        Stats.SyncEvents += Counts.Sync;
+        noteThreadRecovered(Stats, H.Tid, H.EventCount);
+        ++Stats.SegmentsRecovered;
       }
     }
     if (Decoded) {

@@ -68,6 +68,23 @@ struct Trace {
   size_t memoryOpsForSlot(unsigned Slot) const;
 };
 
+/// Memory (Read/Write) and sync (isSyncKind) records counted by a decode
+/// pass as it goes, so no caller walks the decoded records again.
+struct EventKindCounts {
+  uint64_t Memory = 0;
+  uint64_t Sync = 0;
+
+  void note(EventKind K) {
+    Memory += isMemoryKind(K);
+    Sync += isSyncKind(K);
+  }
+  EventKindCounts &operator+=(const EventKindCounts &O) {
+    Memory += O.Memory;
+    Sync += O.Sync;
+    return *this;
+  }
+};
+
 /// Destination for flushed event chunks. Implementations must tolerate
 /// concurrent writeChunk calls from different threads.
 class LogSink {
@@ -235,7 +252,6 @@ private:
   uint64_t AppWrites = 0;
   uint64_t FlusherWrites = 0;
   std::vector<uint8_t> Frame;
-  std::vector<EventRecord> Slice;
   telemetry::MetricsRegistry *Metrics = nullptr;
 };
 
@@ -259,6 +275,11 @@ struct TraceReadStats {
   /// v1, damaged-tail regions.
   uint64_t SegmentsDropped = 0;
   uint64_t EventsRecovered = 0;
+  /// Memory and sync records among the EventsRecovered, counted while
+  /// decoding: T.memoryOps() and T.syncOps() of the read's trace, without
+  /// a walk over it.
+  uint64_t MemoryEvents = 0;
+  uint64_t SyncEvents = 0;
   uint64_t BytesDropped = 0;
   /// v2: bytes of the frames decoded (data and footer). With the file
   /// header, BytesRecovered + BytesDropped covers every byte read.

@@ -18,7 +18,10 @@ using namespace literace;
 ThreadContext::ThreadContext(Runtime &RT)
     : RT(RT), Tid(RT.allocateThreadId()),
       Rng(mix64(RT.config().Seed ^ (static_cast<uint64_t>(Tid) << 32))) {
-  Buffer.reserve(RT.config().ThreadBufferRecords);
+  const size_t Capacity = std::max<size_t>(RT.config().ThreadBufferRecords, 1);
+  Buffer = std::make_unique_for_overwrite<EventRecord[]>(Capacity);
+  Cursor = Buffer.get();
+  Limit = Cursor + Capacity;
   if (telemetry::MetricsRegistry *M = RT.metrics()) {
     TelSlab = &M->threadSlab();
     const RuntimeMetricIds &Ids = RT.metricIds();
@@ -68,13 +71,13 @@ ThreadContext::~ThreadContext() {
 }
 
 void ThreadContext::flush() {
-  if (Buffer.empty())
+  const size_t Records = static_cast<size_t>(Cursor - Buffer.get());
+  if (Records == 0)
     return;
-  const size_t Records = Buffer.size();
+  Cursor = Buffer.get();
   if (!TelSlab) {
     if (LogSink *Sink = RT.sink())
-      Sink->writeChunk(Tid, Buffer.data(), Records);
-    Buffer.clear();
+      Sink->writeChunk(Tid, Buffer.get(), Records);
     return;
   }
   telemetry::TraceRecorder &Rec = telemetry::TraceRecorder::global();
@@ -82,17 +85,20 @@ void ThreadContext::flush() {
   const uint64_t StartUs = Record ? Rec.nowUs() : 0;
   WallTimer Timer;
   if (LogSink *Sink = RT.sink())
-    Sink->writeChunk(Tid, Buffer.data(), Records);
+    Sink->writeChunk(Tid, Buffer.get(), Records);
   const uint64_t Ns = Timer.nanoseconds();
   const RuntimeMetricIds &Ids = RT.metricIds();
   TelSlab->record(Ids.LogFlushNs, Ns);
   TelSlab->add(Ids.LogFlushes);
   TelSlab->add(Ids.LogBytesWritten, Records * sizeof(EventRecord));
+  // Every logged memory op put a record in the buffer, so the ones not
+  // yet folded are all in this flush: the counter is exact at thread exit.
+  TelSlab->add(Ids.MemOpsLogged, Stats.MemOpsLogged - MemOpsFolded);
+  MemOpsFolded = Stats.MemOpsLogged;
   if (Record)
     Rec.addSpan("log flush", "runtime.log", telemetry::TimelinePidRuntime,
                 Tid, StartUs, std::max<uint64_t>(Ns / 1000, 1),
                 {{"records", Records}});
-  Buffer.clear();
 }
 
 SamplerFnState &ThreadContext::localSamplerState(unsigned Slot,
@@ -197,30 +203,8 @@ LR_CACHE_ALIGNED_FN uint16_t ThreadContext::computeSampleMask(FunctionId F) {
   literaceUnreachable("invalid RunMode");
 }
 
-void ThreadContext::logMemory(EventKind K, const void *Addr, Pc P,
-                              uint16_t Mask) {
-  assert(isMemoryKind(K) && "logMemory expects Read or Write");
-  // Memory-op granularity perturbation (never in logSync: the AtomicU64
-  // primitive calls that while holding its spinlock).
-  if (LR_UNLIKELY(Perturber != nullptr))
-    Perturber->perturb(PerturbPoint::MemoryOp, *this);
-  EventRecord R;
-  R.Addr = reinterpret_cast<uint64_t>(Addr);
-  R.Pc = P;
-  R.Tid = Tid;
-  R.Kind = K;
-  R.Mask = Mask;
-  append(R);
-
-  ++Stats.MemOpsLogged;
-  if (TelSlab)
-    TelSlab->add(RT.metricIds().MemOpsLogged);
-  uint16_t SlotBits = static_cast<uint16_t>(Mask & ~FullLogMaskBit);
-  while (SlotBits) {
-    unsigned Slot = static_cast<unsigned>(__builtin_ctz(SlotBits));
-    ++Stats.MemOpsPerSlot[Slot];
-    SlotBits &= static_cast<uint16_t>(SlotBits - 1);
-  }
+LR_NOINLINE void ThreadContext::perturbMemoryOp() {
+  Perturber->perturb(PerturbPoint::MemoryOp, *this);
 }
 
 void ThreadContext::logSync(EventKind K, SyncVar S, Pc P) {
@@ -236,10 +220,4 @@ void ThreadContext::logSync(EventKind K, SyncVar S, Pc P) {
   ++Stats.SyncOps;
   if (TelSlab)
     TelSlab->add(RT.metricIds().SyncOpsLogged);
-}
-
-void ThreadContext::append(const EventRecord &R) {
-  Buffer.push_back(R);
-  if (LR_UNLIKELY(Buffer.size() >= RT.config().ThreadBufferRecords))
-    flush();
 }

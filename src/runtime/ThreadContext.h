@@ -30,6 +30,7 @@
 #include "support/SplitMix64.h"
 
 #include <cassert>
+#include <memory>
 #include <vector>
 
 namespace literace {
@@ -72,8 +73,31 @@ public:
   }
   /// @}
 
-  /// Appends a memory-access record (called by LoggingTracer).
-  void logMemory(EventKind K, const void *Addr, Pc P, uint16_t Mask);
+  /// Appends a memory-access record (called by LoggingTracer). Inline:
+  /// the record is written at the buffer cursor with no call, and the
+  /// runtime.memops_logged telemetry is folded per flush(), not per call.
+  void logMemory(EventKind K, const void *Addr, Pc P, uint16_t Mask) {
+    assert(isMemoryKind(K) && "logMemory expects Read or Write");
+    // Memory-op granularity perturbation (never in logSync: the AtomicU64
+    // primitive calls that while holding its spinlock).
+    if (LR_UNLIKELY(Perturber != nullptr))
+      perturbMemoryOp();
+    // Counted before the append, so a flush the append triggers folds
+    // this operation too.
+    ++Stats.MemOpsLogged;
+    uint16_t SlotBits = static_cast<uint16_t>(Mask & ~FullLogMaskBit);
+    while (SlotBits) {
+      ++Stats.MemOpsPerSlot[__builtin_ctz(SlotBits)];
+      SlotBits &= static_cast<uint16_t>(SlotBits - 1);
+    }
+    EventRecord R;
+    R.Addr = reinterpret_cast<uint64_t>(Addr);
+    R.Pc = P;
+    R.Tid = Tid;
+    R.Kind = K;
+    R.Mask = Mask;
+    append(R);
+  }
 
   /// Counts one memory operation elided by the static site policy
   /// (called by LoggingTracer instead of logMemory).
@@ -83,7 +107,8 @@ public:
       TelSlab->add(RT.metricIds().MemOpsElided);
   }
 
-  /// Flushes buffered records to the sink.
+  /// Flushes buffered records to the sink and folds the memory operations
+  /// logged since the last flush into runtime.memops_logged.
   void flush();
 
   /// Per-(sampler slot, function) counters of this thread; grown on demand.
@@ -109,13 +134,30 @@ private:
   /// vector-growth code does not bloat the dispatch check.
   SamplerFnState &growPrimaryStates(FunctionId F);
 
+  /// Out-of-line MemoryOp perturbation point, so fuzz support costs the
+  /// inlined logMemory one predicted-untaken branch.
+  void perturbMemoryOp();
+
   void logSync(EventKind K, SyncVar S, Pc P);
-  void append(const EventRecord &R);
+
+  /// Stores \p R at the cursor; flushes when the buffer fills.
+  void append(const EventRecord &R) {
+    *Cursor = R;
+    if (LR_UNLIKELY(++Cursor == Limit))
+      flush();
+  }
 
   Runtime &RT;
   ThreadId Tid;
   SplitMix64 Rng;
-  std::vector<EventRecord> Buffer;
+  /// The log buffer: RuntimeConfig::ThreadBufferRecords records (at least
+  /// one), filled from Buffer up to Cursor; Limit is one past its end.
+  std::unique_ptr<EventRecord[]> Buffer;
+  EventRecord *Cursor = nullptr;
+  EventRecord *Limit = nullptr;
+  /// Stats.MemOpsLogged as of the last flush(): the part already folded
+  /// into runtime.memops_logged.
+  uint64_t MemOpsFolded = 0;
   /// LocalStates[Slot][F]: per-sampler, per-function counters.
   std::vector<std::vector<SamplerFnState>> LocalStates;
   /// States of the primary sampler used by non-Experiment modes.

@@ -352,6 +352,114 @@ TEST(CompressedStreamTest, MutatedStreamsDecodeAConsistentPrefix) {
   }
 }
 
+/// The encoder as it was written before it wrote through a pointer: one
+/// push_back per byte. Kept as the oracle for the byte format.
+void oraclePutVarint(std::vector<uint8_t> &Out, uint64_t V) {
+  while (V >= 0x80) {
+    Out.push_back(static_cast<uint8_t>(V) | 0x80);
+    V >>= 7;
+  }
+  Out.push_back(static_cast<uint8_t>(V));
+}
+
+uint64_t oracleZigzag(int64_t V) {
+  return (static_cast<uint64_t>(V) << 1) ^ static_cast<uint64_t>(V >> 63);
+}
+
+void oracleCompress(const std::vector<EventRecord> &Stream,
+                    std::vector<uint8_t> &Out) {
+  uint64_t PrevAddr = 0, PrevPc = 0, PrevTs = 0;
+  uint16_t PrevMask = 0;
+  for (const EventRecord &R : Stream) {
+    uint8_t Header = static_cast<uint8_t>(R.Kind);
+    if (R.Mask != PrevMask)
+      Header |= 0x10;
+    Out.push_back(Header);
+    oraclePutVarint(Out, oracleZigzag(static_cast<int64_t>(R.Addr - PrevAddr)));
+    oraclePutVarint(Out, oracleZigzag(static_cast<int64_t>(R.Pc - PrevPc)));
+    if (isSyncKind(R.Kind))
+      oraclePutVarint(Out, oracleZigzag(static_cast<int64_t>(R.Ts - PrevTs)));
+    if (Header & 0x10) {
+      oraclePutVarint(Out, R.Mask);
+      PrevMask = R.Mask;
+    }
+    PrevAddr = R.Addr;
+    PrevPc = R.Pc;
+    if (isSyncKind(R.Kind))
+      PrevTs = R.Ts;
+  }
+}
+
+/// A stream whose address, pc and timestamp deltas swing across the whole
+/// 64-bit range in both directions, with frequent mask changes: the inputs
+/// that make varints longest.
+std::vector<EventRecord> extremeCodecStream(SplitMix64 &Rng, size_t Count) {
+  const uint64_t Edges[] = {0, 1, 0x7f, 0x80, uint64_t(1) << 63,
+                            (uint64_t(1) << 63) - 1, ~uint64_t(0)};
+  auto Pick = [&](uint64_t Prev) {
+    switch (Rng.nextBelow(3)) {
+    case 0:
+      return Edges[Rng.nextBelow(std::size(Edges))];
+    case 1:
+      return Prev + (uint64_t(1) << 63);
+    default:
+      return randomNear(Rng, Prev);
+    }
+  };
+  std::vector<EventRecord> Stream;
+  EventRecord Prev;
+  for (size_t I = 0; I != Count; ++I) {
+    EventRecord R;
+    R.Kind = static_cast<EventKind>(
+        Rng.nextBelow(static_cast<uint64_t>(EventKind::PolicyMeta) + 1));
+    R.Addr = Pick(Prev.Addr);
+    R.Pc = Pick(Prev.Pc);
+    R.Ts = isSyncKind(R.Kind) ? Pick(Prev.Ts) : 0;
+    R.Mask = Rng.nextBelow(2) ? static_cast<uint16_t>(Rng.next())
+                              : Prev.Mask;
+    Stream.push_back(R);
+    Prev = R;
+  }
+  return Stream;
+}
+
+// The pointer-writing encoder must emit exactly the bytes of the one it
+// replaced, appending after whatever \p Out already holds, and stay
+// within MaxEncodedRecordBytes a record.
+TEST(CompressedStreamTest, PointerEncoderMatchesThePushBackOracle) {
+  SplitMix64 Rng(0x0e1c0de5);
+  for (int Trial = 0; Trial != 400; ++Trial) {
+    const std::vector<EventRecord> Stream =
+        Trial % 2 ? extremeCodecStream(Rng, Rng.nextBelow(300))
+                  : randomCodecStream(Rng, 0);
+    const std::vector<uint8_t> Prefix(Rng.nextBelow(40), 0xab);
+    std::vector<uint8_t> Expected = Prefix;
+    oracleCompress(Stream, Expected);
+    std::vector<uint8_t> Got = Prefix;
+    const size_t Appended = compressEventStream(Stream, Got);
+    ASSERT_EQ(Got, Expected) << "trial " << Trial;
+    EXPECT_EQ(Appended, Got.size() - Prefix.size()) << "trial " << Trial;
+    EXPECT_LE(Appended, Stream.size() * MaxEncodedRecordBytes)
+        << "trial " << Trial;
+  }
+}
+
+// One record reaches the bound exactly: every delta is 2^63 (a ten-byte
+// zig-zag varint) on a sync kind, and the mask changes to 0xffff (three
+// bytes).
+TEST(CompressedStreamTest, WorstCaseRecordFillsTheBoundExactly) {
+  EventRecord R;
+  R.Kind = EventKind::Acquire;
+  R.Addr = R.Pc = R.Ts = uint64_t(1) << 63;
+  R.Mask = 0xffff;
+  std::vector<uint8_t> Out;
+  EXPECT_EQ(compressEventStream(&R, 1, Out), MaxEncodedRecordBytes);
+  auto Back = decompressEventStream(Out.data(), Out.size(), 0);
+  ASSERT_TRUE(Back.has_value());
+  ASSERT_EQ(Back->size(), 1u);
+  EXPECT_TRUE(recordsEqual((*Back)[0], R));
+}
+
 TEST(CompressedFileSinkTest, ReaderRejectsOversizedStreamHeaders) {
   // Craft a file whose per-thread size field claims more bytes than the
   // file holds; the reader must bound allocations by the actual size.

@@ -6,8 +6,10 @@
 
 #include "runtime/Runtime.h"
 
+#include "fuzz/SchedulePerturber.h"
 #include "runtime/ThreadContext.h"
 
+#include <cstring>
 #include <gtest/gtest.h>
 
 using namespace literace;
@@ -213,6 +215,191 @@ TEST(ThreadContextTest, NestedActivationsBothLog) {
     if (isMemoryKind(R.Kind))
       Fns.push_back(pcFunction(R.Pc));
   EXPECT_EQ(Fns, (std::vector<FunctionId>{Outer, Inner, Outer}));
+}
+
+/// Keeps every chunk a thread flushes: its size, and the records in
+/// order. Single-threaded use only.
+class ChunkSink : public LogSink {
+public:
+  void writeChunk(ThreadId, const EventRecord *Records,
+                  size_t Count) override {
+    Sizes.push_back(Count);
+    All.insert(All.end(), Records, Records + Count);
+  }
+
+  std::vector<size_t> Sizes;
+  std::vector<EventRecord> All;
+};
+
+/// A perturber that only counts its points; with one thread there is no
+/// token to pass.
+class CountingPerturber : public SchedulePerturber {
+public:
+  void attach(ThreadContext &) override {}
+  void detach(ThreadContext &) override {}
+  void perturb(PerturbPoint P, ThreadContext &) override {
+    ++Points[static_cast<unsigned>(P)];
+  }
+  uint64_t prepareFork(ThreadContext &) override { return 0; }
+  ThreadId awaitAttach(ThreadContext &, uint64_t) override { return 0; }
+  void yieldUntilDetached(ThreadContext &, ThreadId) override {}
+  void blockedYield(ThreadContext &) override {}
+
+  uint64_t Points[3] = {};
+};
+
+constexpr unsigned FastPathCalls = 3000;
+
+/// What one recording of the fast-path scenario produced.
+struct FastPathRun {
+  ChunkSink Sink;
+  RuntimeStats Stats;
+  uint64_t MemOpsCounter = 0; ///< runtime.memops_logged after thread exit
+  uint64_t MemoryOpPoints = 0;
+};
+
+/// Records FastPathCalls activations alternating over two functions, each
+/// reading Cells[(I+1)%4] (site 1), writing Cells[I%4] (site 2) and
+/// reading Cells[3] (site 3); every fifth also acquires L with Pc I.
+void recordFastPath(RunMode Mode, size_t BufferRecords, uint64_t *Cells,
+                    FastPathRun &Run) {
+  telemetry::MetricsRegistry Registry;
+  CountingPerturber Perturber;
+  RuntimeConfig Config;
+  Config.Mode = Mode;
+  Config.TimestampCounters = 16;
+  Config.ThreadBufferRecords = BufferRecords;
+  Config.Metrics = &Registry;
+  Runtime RT(Config, &Run.Sink);
+  if (Mode == RunMode::Experiment)
+    RT.addStandardSamplers();
+  RT.installPerturber(&Perturber);
+  const FunctionId Fns[] = {RT.registry().registerFunction("f"),
+                            RT.registry().registerFunction("g")};
+  {
+    ThreadContext TC(RT);
+    for (unsigned I = 0; I != FastPathCalls; ++I)
+      TC.run(Fns[I % 2], [&](auto &T) {
+        T.store(&Cells[I % 4], T.load(&Cells[(I + 1) % 4], 1) + I, 2);
+        T.read(&Cells[3], 3);
+        if (I % 5 == 0)
+          TC.logAcquire(L, I);
+      });
+  }
+  Run.Stats = RT.stats();
+  Run.MemOpsCounter = RT.metricsSnapshot().counter("runtime.memops_logged");
+  Run.MemoryOpPoints =
+      Perturber.Points[static_cast<unsigned>(PerturbPoint::MemoryOp)];
+}
+
+/// Checks \p Records against the scenario, event by event: ThreadStart,
+/// then per activation its three accesses (all present unless \p Sampled
+/// allows the activation to be unsampled) and its acquire, then ThreadEnd.
+void expectScenarioRecords(const std::vector<EventRecord> &Records,
+                           const uint64_t *Cells, bool Sampled,
+                           const std::string &Where) {
+  size_t At = 0;
+  auto Next = [&]() -> const EventRecord * {
+    return At < Records.size() ? &Records[At] : nullptr;
+  };
+  ASSERT_TRUE(Next() && Next()->Kind == EventKind::ThreadStart) << Where;
+  ++At;
+  const FunctionId Fns[] = {0, 1};
+  for (unsigned I = 0; I != FastPathCalls; ++I) {
+    const struct {
+      EventKind Kind;
+      const uint64_t *Addr;
+      uint32_t Site;
+    } Accesses[] = {{EventKind::Read, &Cells[(I + 1) % 4], 1},
+                    {EventKind::Write, &Cells[I % 4], 2},
+                    {EventKind::Read, &Cells[3], 3}};
+    const EventRecord *R = Next();
+    if (!Sampled || (R && isMemoryKind(R->Kind))) {
+      for (const auto &A : Accesses) {
+        R = Next();
+        ASSERT_NE(R, nullptr) << Where << " call " << I;
+        EXPECT_EQ(R->Kind, A.Kind) << Where << " call " << I;
+        EXPECT_EQ(R->Addr, reinterpret_cast<uint64_t>(A.Addr))
+            << Where << " call " << I;
+        EXPECT_EQ(R->Pc, makePc(Fns[I % 2], A.Site)) << Where << " call " << I;
+        EXPECT_EQ(R->Ts, 0u) << Where << " call " << I;
+        EXPECT_EQ(R->Tid, 0u) << Where << " call " << I;
+        EXPECT_EQ(R->Pad, 0u) << Where << " call " << I;
+        EXPECT_NE(R->Mask, 0u) << Where << " call " << I;
+        ++At;
+      }
+    }
+    if (I % 5 == 0) {
+      R = Next();
+      ASSERT_NE(R, nullptr) << Where << " call " << I;
+      EXPECT_EQ(R->Kind, EventKind::Acquire) << Where << " call " << I;
+      EXPECT_EQ(R->Addr, L) << Where << " call " << I;
+      EXPECT_EQ(R->Pc, I) << Where << " call " << I;
+      ++At;
+    }
+  }
+  ASSERT_TRUE(Next() && Next()->Kind == EventKind::ThreadEnd) << Where;
+  EXPECT_EQ(At + 1, Records.size()) << Where;
+}
+
+// The inline append path writes through a cursor into a fixed buffer and
+// flushes when it fills. At every buffer size, including the smallest
+// (a flush per record), the records must equal the scenario event by
+// event and the per-event (one-record buffer) recording byte for byte;
+// every chunk but the last must be exactly one buffer; and the stats,
+// runtime.memops_logged and the MemoryOp perturbation points must count
+// every logged access exactly once.
+TEST(ThreadContextTest, AppendFastPathMatchesThePerEventReference) {
+  static uint64_t Cells[4];
+  const size_t DefaultRecords = RuntimeConfig().ThreadBufferRecords;
+  for (RunMode Mode :
+       {RunMode::FullLogging, RunMode::LiteRace, RunMode::Experiment}) {
+    FastPathRun Reference;
+    recordFastPath(Mode, 1, Cells, Reference);
+    const std::vector<EventRecord> &Ref = Reference.Sink.All;
+    expectScenarioRecords(Ref, Cells, Mode == RunMode::LiteRace,
+                          runModeName(Mode));
+    for (size_t Records : {size_t{1}, size_t{2}, size_t{3}, DefaultRecords}) {
+      const std::string Where =
+          std::string(runModeName(Mode)) + " buffer " + std::to_string(Records);
+      FastPathRun Run;
+      recordFastPath(Mode, Records, Cells, Run);
+      const std::vector<EventRecord> &Got = Run.Sink.All;
+      ASSERT_EQ(Got.size(), Ref.size()) << Where;
+      EXPECT_EQ(std::memcmp(Got.data(), Ref.data(),
+                            Got.size() * sizeof(EventRecord)),
+                0)
+          << Where;
+
+      const std::vector<size_t> &Sizes = Run.Sink.Sizes;
+      ASSERT_FALSE(Sizes.empty()) << Where;
+      for (size_t I = 0; I + 1 < Sizes.size(); ++I)
+        ASSERT_EQ(Sizes[I], Records) << Where << " chunk " << I;
+      EXPECT_GE(Sizes.back(), 1u) << Where;
+      EXPECT_LE(Sizes.back(), Records) << Where;
+
+      uint64_t Memory = 0, Sync = 0, PerSlot[MaxSamplerSlots] = {};
+      for (const EventRecord &R : Got) {
+        Sync += isSyncKind(R.Kind);
+        if (!isMemoryKind(R.Kind))
+          continue;
+        ++Memory;
+        for (unsigned Slot = 0; Slot != MaxSamplerSlots; ++Slot)
+          PerSlot[Slot] += (R.Mask >> Slot) & 1;
+      }
+      EXPECT_GT(Memory, 0u) << Where;
+      if (Mode != RunMode::LiteRace) {
+        EXPECT_EQ(Memory, 3u * FastPathCalls) << Where;
+      }
+      EXPECT_EQ(Run.Stats.MemOpsLogged, Memory) << Where;
+      EXPECT_EQ(Run.Stats.SyncOps, Sync) << Where;
+      for (unsigned Slot = 0; Slot != MaxSamplerSlots; ++Slot)
+        EXPECT_EQ(Run.Stats.MemOpsPerSlot[Slot], PerSlot[Slot])
+            << Where << " slot " << Slot;
+      EXPECT_EQ(Run.MemOpsCounter, Memory) << Where;
+      EXPECT_EQ(Run.MemoryOpPoints, Memory) << Where;
+    }
+  }
 }
 
 TEST(RuntimeTest, SamplerSuiteSlotsAreStable) {

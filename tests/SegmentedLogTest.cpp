@@ -338,6 +338,8 @@ TEST(SegmentedLogTest, LegacyV1FormatsReadThroughReadTrace) {
   ASSERT_EQ(Raw.Status, TraceReadStatus::Ok) << Raw.Error;
   EXPECT_EQ(Raw.Stats.Format, TraceFormat::V1Raw);
   EXPECT_EQ(Raw.T.totalEvents(), T.totalEvents());
+  EXPECT_EQ(Raw.Stats.MemoryEvents, T.memoryOps());
+  EXPECT_EQ(Raw.Stats.SyncEvents, T.syncOps());
 
   std::string ZPath = tempPath("v1_compressed.bin");
   {
@@ -351,6 +353,8 @@ TEST(SegmentedLogTest, LegacyV1FormatsReadThroughReadTrace) {
   ASSERT_EQ(Z.Status, TraceReadStatus::Ok) << Z.Error;
   EXPECT_EQ(Z.Stats.Format, TraceFormat::V1Compressed);
   EXPECT_EQ(Z.T.totalEvents(), T.totalEvents());
+  EXPECT_EQ(Z.Stats.MemoryEvents, T.memoryOps());
+  EXPECT_EQ(Z.Stats.SyncEvents, T.syncOps());
 
   std::remove(RawPath.c_str());
   std::remove(ZPath.c_str());
@@ -868,6 +872,129 @@ TEST(SegmentedLogTest, NamedPipeReadsLikeTheFile) {
     EXPECT_TRUE(sameStreams(Pipe.T.PerThread, File.T.PerThread)) << C.Name;
   }
   std::remove(Path.c_str());
+}
+
+/// Checks that the reader's kind counts equal walks over what it returned.
+void expectCountsMatchWalks(const TraceReadResult &R,
+                            const std::string &Where) {
+  EXPECT_EQ(R.Stats.MemoryEvents, R.T.memoryOps()) << Where;
+  EXPECT_EQ(R.Stats.SyncEvents, R.T.syncOps()) << Where;
+}
+
+// The raw-frame pass copies, checksums and kind-checks in one loop. A
+// frame failing either check must cost exactly itself, with the same
+// accounting whichever check failed, in both readers.
+TEST(SegmentedLogTest, RawFrameWithBadCrcOrBadKindDropsExactlyThatFrame) {
+  const std::string Path = tempPath("seg_fused.bin");
+  const Trace T = buildRacyTrace();
+  writeSegmented(T, Path, 8);
+  const std::vector<uint8_t> Clean = readFileBytes(Path);
+  const std::vector<SegmentInfo> Frames = scanSegments(Path);
+  ASSERT_GT(Frames.size(), 5u);
+  const SegmentInfo &Victim = Frames[4];
+  ASSERT_FALSE(Victim.IsFooter);
+  ASSERT_EQ(Victim.EventCount, 8u);
+  // Where the victim's records start in its thread's stream.
+  size_t Before = 0;
+  for (size_t I = 0; I != 4; ++I)
+    if (Frames[I].Tid == Victim.Tid)
+      Before += Frames[I].EventCount;
+  std::vector<std::vector<EventRecord>> Expected = T.PerThread;
+  Expected[Victim.Tid].erase(Expected[Victim.Tid].begin() + Before,
+                             Expected[Victim.Tid].begin() + Before + 8);
+  const size_t Payload = Victim.Offset + 28;
+
+  for (const bool BadKind : {false, true}) {
+    std::vector<uint8_t> Bytes = Clean;
+    if (BadKind) {
+      // Record 5's kind byte (offset 28 in the record) becomes invalid,
+      // under a payload CRC and header CRC that both check out.
+      Bytes[Payload + 5 * sizeof(EventRecord) + 28] = 0x7f;
+      const uint32_t PayloadCrc =
+          crc32c(Bytes.data() + Payload, Victim.PayloadBytes);
+      std::memcpy(Bytes.data() + Victim.Offset + 20, &PayloadCrc, 4);
+      const uint32_t HeaderCrc = crc32c(Bytes.data() + Victim.Offset, 24);
+      std::memcpy(Bytes.data() + Victim.Offset + 24, &HeaderCrc, 4);
+    } else {
+      Bytes[Payload + 3 * sizeof(EventRecord) + 2] ^= 0x10; // an Addr bit
+    }
+    writeFileBytes(Path, Bytes.data(), Bytes.size());
+    const std::string Where = BadKind ? "bad kind" : "bad crc";
+
+    const TraceReadResult R = readTrace(Path);
+    ASSERT_EQ(R.Status, TraceReadStatus::Salvaged) << Where;
+    EXPECT_EQ(R.Stats.SegmentsDropped, 1u) << Where;
+    EXPECT_EQ(R.Stats.SegmentsRecovered, Frames.size() - 2) << Where;
+    EXPECT_EQ(R.Stats.BytesDropped, 28u + Victim.PayloadBytes) << Where;
+    EXPECT_EQ(R.Stats.EventsRecovered, T.totalEvents() - 8) << Where;
+    EXPECT_TRUE(R.Stats.CleanShutdown) << Where;
+    EXPECT_FALSE(R.Stats.TruncatedTail) << Where;
+    std::vector<uint64_t> Dropped(T.PerThread.size(), 0);
+    Dropped[Victim.Tid] = 1;
+    EXPECT_EQ(R.Stats.PerThreadDropped, Dropped) << Where;
+    EXPECT_TRUE(sameStreams(R.T.PerThread, Expected)) << Where;
+    expectCountsMatchWalks(R, Where);
+
+    SplitMix64 Rng(BadKind);
+    std::vector<std::vector<EventRecord>> Streams;
+    const SegmentStreamDecoder D = decodeInPieces(Bytes, Rng, Streams);
+    expectSameStats(D.stats(), R.Stats, Where);
+    EXPECT_EQ(D.stats().MemoryEvents, R.Stats.MemoryEvents) << Where;
+    EXPECT_EQ(D.stats().SyncEvents, R.Stats.SyncEvents) << Where;
+    EXPECT_TRUE(sameStreams(Streams, Expected)) << Where;
+  }
+  std::remove(Path.c_str());
+}
+
+// TraceReadStats::MemoryEvents and SyncEvents are counted while decoding;
+// on clean, truncated, bit-flipped and mutated v2 and v2z files they must
+// equal walks over the trace read, and strict refusal zeroes them.
+TEST(SegmentedLogTest, ReaderKindCountsEqualWalksOverTheTrace) {
+  const std::string Path = tempPath("seg_counts.bin");
+  const std::string DamagedPath = tempPath("seg_counts_damaged.bin");
+  const Trace T = buildRacyTrace();
+  for (const bool Compress : {false, true}) {
+    const std::string Format = Compress ? "v2z" : "v2";
+    writeSegmented(T, Path, 8, Compress);
+    const std::vector<uint8_t> Clean = readFileBytes(Path);
+    const TraceReadResult Whole = readTrace(Path);
+    ASSERT_EQ(Whole.Status, TraceReadStatus::Ok) << Format;
+    EXPECT_EQ(Whole.Stats.MemoryEvents, T.memoryOps()) << Format;
+    EXPECT_EQ(Whole.Stats.SyncEvents, T.syncOps()) << Format;
+
+    for (size_t Cut = 16; Cut < Clean.size(); Cut += 3) {
+      writeFileBytes(DamagedPath, Clean.data(), Cut);
+      expectCountsMatchWalks(readTrace(DamagedPath),
+                             Format + " cut " + std::to_string(Cut));
+    }
+    for (size_t At = 16; At < Clean.size(); At += 5) {
+      std::vector<uint8_t> Bytes = Clean;
+      Bytes[At] ^= static_cast<uint8_t>(1u << (At % 8));
+      writeFileBytes(DamagedPath, Bytes.data(), Bytes.size());
+      expectCountsMatchWalks(readTrace(DamagedPath),
+                             Format + " flip " + std::to_string(At));
+    }
+    const std::vector<SegmentInfo> Frames = scanSegments(Path);
+    for (uint64_t Seed = 1; Seed <= 100; ++Seed) {
+      SplitMix64 Rng(Seed * 0x2545F4914F6CDD1Dull + Compress);
+      std::vector<uint8_t> Bytes = Clean;
+      mutateOnce(Bytes, Frames, Rng);
+      writeFileBytes(DamagedPath, Bytes.data(), Bytes.size());
+      expectCountsMatchWalks(readTrace(DamagedPath),
+                             Format + " seed " + std::to_string(Seed));
+    }
+
+    std::vector<uint8_t> Cut(Clean.begin(), Clean.end() - 5);
+    writeFileBytes(DamagedPath, Cut.data(), Cut.size());
+    TraceReadOptions Strict;
+    Strict.Salvage = false;
+    const TraceReadResult Refused = readTrace(DamagedPath, Strict);
+    ASSERT_EQ(Refused.Status, TraceReadStatus::Unreadable) << Format;
+    EXPECT_EQ(Refused.Stats.MemoryEvents, 0u) << Format;
+    EXPECT_EQ(Refused.Stats.SyncEvents, 0u) << Format;
+  }
+  std::remove(Path.c_str());
+  std::remove(DamagedPath.c_str());
 }
 
 } // namespace

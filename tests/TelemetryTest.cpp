@@ -288,6 +288,44 @@ TEST(TelemetryTest, RuntimeCountersAreExactOnceThreadsDetach) {
   EXPECT_GT(Snap.counter("runtime.sampler.backoffs"), 0u);
 }
 
+// runtime.memops_logged is folded once per buffer flush, not per access:
+// while a thread runs it trails the thread's exact count by less than one
+// buffer, and it is exact after a flush and after the thread exits.
+TEST(TelemetryTest, MemOpsLoggedFoldsPerFlushAndIsExactAtExit) {
+  MetricsRegistry Registry;
+  NullSink Sink;
+  RuntimeConfig Config;
+  Config.Mode = RunMode::FullLogging;
+  Config.ThreadBufferRecords = 100;
+  Config.Metrics = &Registry;
+  Runtime RT(Config, &Sink);
+  FunctionId F = RT.registry().registerFunction("hot");
+  auto Counter = [&] {
+    return RT.metricsSnapshot().counter("runtime.memops_logged");
+  };
+  constexpr uint64_t Calls = 1000;
+  {
+    ThreadContext TC(RT);
+    uint64_t Cell = 0;
+    bool Lagged = false;
+    for (uint64_t I = 0; I != Calls; ++I) {
+      TC.run(F, [&](auto &T) { T.store(&Cell, I, 1); });
+      if (I % 7)
+        continue;
+      const uint64_t Logged = TC.localStats().MemOpsLogged;
+      const uint64_t Folded = Counter();
+      ASSERT_LE(Folded, Logged) << "call " << I;
+      ASSERT_LT(Logged - Folded, Config.ThreadBufferRecords) << "call " << I;
+      Lagged |= Folded != Logged;
+    }
+    EXPECT_TRUE(Lagged) << "the counter never trailed: folded per access?";
+    TC.flush();
+    EXPECT_EQ(Counter(), TC.localStats().MemOpsLogged);
+  }
+  EXPECT_EQ(RT.stats().MemOpsLogged, Calls);
+  EXPECT_EQ(Counter(), Calls);
+}
+
 TEST(TelemetryTest, DisabledTelemetryLeavesRegistryUntouched) {
   MetricsRegistry Registry;
   RuntimeConfig Config;

@@ -478,9 +478,9 @@ TEST(ToolsTest, ReportReadsANamedPipe) {
   std::remove((Log + ".metrics.json").c_str());
 }
 
-// --stats prints one line per stage; their wall times add up to the
-// tool's own ("stage total"), and the read line carries the bytes read
-// and the read's minor page faults.
+// --stats prints one line per stage (read, profile, detect, render);
+// their wall times add up to the tool's own ("stage total"), and the read
+// line carries the bytes read and the read's minor page faults.
 TEST(ToolsTest, ReportStatsTimesEveryStage) {
   const std::string Log = tempLog();
   ASSERT_EQ(runCommand(toolPath("literace-run") + " channel " + Log +
@@ -491,7 +491,7 @@ TEST(ToolsTest, ReportStatsTimesEveryStage) {
       runCommand(toolPath("literace-report") + " " + Log + " --stats --quiet");
   EXPECT_EQ(Code, 3) << Out;
   std::map<std::string, double> WallMs;
-  for (const char *Stage : {"read", "detect", "render", "total"}) {
+  for (const char *Stage : {"read", "profile", "detect", "render", "total"}) {
     const std::string Tag = std::string("stage ") + Stage + ": ";
     const size_t At = Out.find(Tag);
     ASSERT_NE(At, std::string::npos) << Stage << "\n" << Out;
@@ -505,7 +505,8 @@ TEST(ToolsTest, ReportStatsTimesEveryStage) {
       EXPECT_NE(Line.find(" minor faults"), std::string::npos) << Line;
     }
   }
-  const double Sum = WallMs["read"] + WallMs["detect"] + WallMs["render"];
+  const double Sum = WallMs["read"] + WallMs["profile"] + WallMs["detect"] +
+                     WallMs["render"];
   // Each figure is printed to 0.1 ms.
   EXPECT_LE(Sum, WallMs["total"] + 0.2) << Out;
   EXPECT_GE(Sum, 0.9 * WallMs["total"] - 0.2) << Out;

@@ -20,9 +20,11 @@
 // the recovered subset of the execution, with the coverage loss printed.
 // --strict restores fail-stop behavior: any imperfection is exit 1.
 //
-// --stats adds the trace profile and one line per stage (read, detect,
-// render) with its wall and CPU time, plus the bytes read and minor page
-// faults taken by the read; the stages add up to the "total" line.
+// --stats adds the trace profile and one line per stage (read, profile,
+// detect, render) with its wall and CPU time, plus the bytes read and
+// minor page faults taken by the read; the stages add up to the "total"
+// line. The memory and sync counts come from the reader, which counts
+// them as it decodes, so no stage walks the trace again to count them.
 //
 //===----------------------------------------------------------------------===//
 
@@ -153,7 +155,7 @@ void printStage(const char *Name, const StageClock &C) {
 } // namespace
 
 int main(int Argc, char **Argv) {
-  StageClock Total, ReadStage, DetectStage, RenderStage;
+  StageClock Total, ReadStage, ProfileStage, DetectStage, RenderStage;
   Total.start();
   if (Argc < 2)
     return usage(Argv[0]);
@@ -223,13 +225,24 @@ int main(int Argc, char **Argv) {
                  RS.SalvagedHeader ? ", damaged file header" : "",
                  RS.CleanShutdown ? "" : ", no clean shutdown");
   }
-  if (Stats)
-    std::printf("%s", TraceStats::compute(*T).describe().c_str());
+  if (Stats) {
+    RenderStage.stop();
+    ProfileStage.start();
+    const TraceStats Profile = TraceStats::compute(*T);
+    ProfileStage.stop();
+    RenderStage.start();
+    std::printf("%s", Profile.describe().c_str());
+  }
+  const size_t Events = T->totalEvents();
+  const uint64_t MemoryOps = Read.Stats.MemoryEvents;
+  const uint64_t SyncOps = Read.Stats.SyncEvents;
   std::fprintf(stderr,
-               "%s: %zu threads, %zu events (%zu memory, %zu sync), "
+               "%s: %zu threads, %zu events (%llu memory, %llu sync), "
                "%u timestamp counters\n",
-               Path.c_str(), T->PerThread.size(), T->totalEvents(),
-               T->memoryOps(), T->syncOps(), T->NumTimestampCounters);
+               Path.c_str(), T->PerThread.size(), Events,
+               static_cast<unsigned long long>(MemoryOps),
+               static_cast<unsigned long long>(SyncOps),
+               T->NumTimestampCounters);
 
   // A salvaged trace is missing sync events whose timestamps the replay
   // would otherwise wait on forever; let the scheduler skip those gaps
@@ -273,7 +286,7 @@ int main(int Argc, char **Argv) {
                  "segments\n",
                  static_cast<unsigned long long>(TimestampGaps));
 
-  auto [Rare, Frequent] = Report.splitRareFrequent(T->memoryOps());
+  auto [Rare, Frequent] = Report.splitRareFrequent(MemoryOps);
   std::printf("%zu static race(s): %zu rare, %zu frequent "
               "(3-per-million-memops rule)\n",
               Report.numStaticRaces(), Rare.size(), Frequent.size());
@@ -286,7 +299,7 @@ int main(int Argc, char **Argv) {
   if (!Quiet)
     std::printf("%s", Report.describe().c_str());
   std::fprintf(stderr, "analyzed in %.3fs (%.1f M events/s)\n", Seconds,
-               static_cast<double>(T->totalEvents()) / 1e6 / Seconds);
+               static_cast<double>(Events) / 1e6 / Seconds);
 
   if (Metrics) {
     // Merge every plane we have: detector counters folded into the
@@ -304,9 +317,9 @@ int main(int Argc, char **Argv) {
                              "'%s.metrics.json'\n",
                      Path.c_str());
     }
-    Snap.setCounter("trace.events", T->totalEvents());
-    Snap.setCounter("trace.memory_ops", T->memoryOps());
-    Snap.setCounter("trace.sync_ops", T->syncOps());
+    Snap.setCounter("trace.events", Events);
+    Snap.setCounter("trace.memory_ops", MemoryOps);
+    Snap.setCounter("trace.sync_ops", SyncOps);
     Snap.setGauge("trace.threads", T->PerThread.size());
     Snap.setCounter("report.static_races", Report.numStaticRaces());
     Snap.setCounter("report.analysis_us",
@@ -335,6 +348,7 @@ int main(int Argc, char **Argv) {
                 static_cast<double>(Read.Stats.BytesRead) / 1e6,
                 ReadStage.wallMs(), ReadStage.cpuMs(),
                 ReadStage.minorFaults());
+    printStage("profile", ProfileStage);
     printStage("detect", DetectStage);
     printStage("render", RenderStage);
     printStage("total", Total);
