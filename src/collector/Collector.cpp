@@ -109,8 +109,9 @@ struct CollectorServer::Detection {
   /// contributes the delta.
   std::map<StaticRaceKey, uint64_t> Published;
   /// Records queued to detection so far, per thread: a spilled session's
-  /// journal replay feeds each thread's stream beyond this prefix.
-  std::vector<uint64_t> AddedPerTid;
+  /// journal replay feeds each thread's stream beyond this prefix. Keyed
+  /// sparsely, so a forged thread id costs one entry.
+  std::map<ThreadId, uint64_t> AddedPerTid;
   std::shared_ptr<SessionState> State;
 };
 
@@ -811,8 +812,8 @@ void CollectorServer::replaySpilledTail(Detection &D, const IngestItem &End) {
   uint64_t Replayed = 0;
   for (size_t Tid = 0; Tid != R.T.PerThread.size(); ++Tid) {
     const std::vector<EventRecord> &Stream = R.T.PerThread[Tid];
-    const uint64_t Done =
-        Tid < D.AddedPerTid.size() ? D.AddedPerTid[Tid] : 0;
+    const auto Added = D.AddedPerTid.find(static_cast<ThreadId>(Tid));
+    const uint64_t Done = Added == D.AddedPerTid.end() ? 0 : Added->second;
     if (Stream.size() > Done) {
       // Chunks stop entering the queue once a session starts spilling
       // and never resume, so what detection saw is exactly each
@@ -936,8 +937,6 @@ void CollectorServer::detectLoop() {
       }
     }
     if (Item.K == IngestItem::Kind::Chunk) {
-      if (D.AddedPerTid.size() <= Item.Tid)
-        D.AddedPerTid.resize(static_cast<size_t>(Item.Tid) + 1, 0);
       D.AddedPerTid[Item.Tid] += Item.Records.size();
       D.Scheduler->addEvents(Item.Tid, std::move(Item.Records));
       const size_t Delivered = D.Scheduler->drain(D.Detector);

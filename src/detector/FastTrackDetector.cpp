@@ -43,14 +43,21 @@ void FastTrackDetector::onCoverageGap() {
 }
 
 void FastTrackDetector::acquire(ThreadId T, SyncVar S) {
-  auto It = SyncClocks.find(S);
-  if (It != SyncClocks.end())
-    clockOf(T).joinWith(It->second);
+  if (const VectorClock *Sync = SyncClocks.find(S))
+    clockOf(T).joinWith(*Sync);
 }
 
 void FastTrackDetector::release(ThreadId T, SyncVar S) {
   VectorClock &Thread = clockOf(T);
-  SyncClocks[S].joinWith(Thread);
+  SyncClocks.ref(S).joinWith(Thread);
+  Thread.tick(T);
+}
+
+void FastTrackDetector::acquireRelease(ThreadId T, SyncVar S) {
+  VectorClock &Thread = clockOf(T);
+  VectorClock &Sync = SyncClocks.ref(S);
+  Thread.joinWith(Sync);
+  Sync.joinWith(Thread);
   Thread.tick(T);
 }
 
@@ -84,8 +91,7 @@ void FastTrackDetector::onEvent(const EventRecord &R) {
   case EventKind::AcqRel:
   case EventKind::Alloc:
   case EventKind::Free:
-    acquire(R.Tid, R.Addr);
-    release(R.Tid, R.Addr);
+    acquireRelease(R.Tid, R.Addr);
     return;
   }
   literaceUnreachable("invalid event kind");

@@ -29,12 +29,11 @@
 
 #include "detector/RaceReport.h"
 #include "detector/Replay.h"
+#include "detector/SyncClockMap.h"
 #include "detector/VectorClock.h"
-#include "support/Hashing.h"
 #include "support/ShadowMap.h"
 #include "support/SmallVector.h"
 
-#include <unordered_map>
 #include <vector>
 
 namespace literace {
@@ -98,6 +97,8 @@ private:
   VectorClock &clockOf(ThreadId T);
   void acquire(ThreadId T, SyncVar S);
   void release(ThreadId T, SyncVar S);
+  /// See HBDetector::acquireRelease.
+  void acquireRelease(ThreadId T, SyncVar S);
   void onRead(const EventRecord &R, const VectorClock &Clock,
               uint64_t OwnEpoch);
   void onWrite(const EventRecord &R, const VectorClock &Clock,
@@ -106,7 +107,7 @@ private:
 
   RaceReport &Report;
   std::vector<VectorClock> ThreadClocks;
-  std::unordered_map<SyncVar, VectorClock, Mix64Hash> SyncClocks;
+  SyncClockMap SyncClocks;
   ShadowMap<AddressState> Shadow;
   /// See HBDetector::GapBarrier.
   VectorClock GapBarrier;

@@ -53,16 +53,25 @@ void HBDetector::onCoverageGap() {
 const VectorClock &HBDetector::threadClock(ThreadId T) { return clockOf(T); }
 
 void HBDetector::acquire(ThreadId T, SyncVar S) {
-  auto It = SyncClocks.find(S);
-  if (It != SyncClocks.end())
-    clockOf(T).joinWith(It->second);
+  if (const VectorClock *Sync = SyncClocks.find(S))
+    clockOf(T).joinWith(*Sync);
 }
 
 void HBDetector::release(ThreadId T, SyncVar S) {
   VectorClock &Thread = clockOf(T);
-  SyncClocks[S].joinWith(Thread);
+  SyncClocks.ref(S).joinWith(Thread);
   // Tick so that accesses after the release are not confused with the
   // knowledge just published.
+  Thread.tick(T);
+}
+
+void HBDetector::acquireRelease(ThreadId T, SyncVar S) {
+  VectorClock &Thread = clockOf(T);
+  VectorClock &Sync = SyncClocks.ref(S);
+  // A SyncVar created here has an all-zero clock, so the acquire half is
+  // a no-op for it, exactly as acquire() on a missing SyncVar.
+  Thread.joinWith(Sync);
+  Sync.joinWith(Thread);
   Thread.tick(T);
 }
 
@@ -94,8 +103,7 @@ void HBDetector::onEvent(const EventRecord &R) {
   case EventKind::Free:
     // Allocation events are §4.3 page synchronization: acquire+release.
     ++SyncEvents;
-    acquire(R.Tid, R.Addr);
-    release(R.Tid, R.Addr);
+    acquireRelease(R.Tid, R.Addr);
     return;
   }
   literaceUnreachable("invalid event kind");

@@ -28,12 +28,11 @@
 
 #include "detector/RaceReport.h"
 #include "detector/Replay.h"
+#include "detector/SyncClockMap.h"
 #include "detector/VectorClock.h"
-#include "support/Hashing.h"
 #include "support/ShadowMap.h"
 #include "support/SmallVector.h"
 
-#include <unordered_map>
 #include <vector>
 
 namespace literace {
@@ -107,6 +106,9 @@ private:
   VectorClock &clockOf(ThreadId T);
   void acquire(ThreadId T, SyncVar S);
   void release(ThreadId T, SyncVar S);
+  /// acquire() then release() with one lookup of \p S (AcqRel and the
+  /// §4.3 allocation events).
+  void acquireRelease(ThreadId T, SyncVar S);
   void onMemory(const EventRecord &R);
 
   /// The fused per-access step: checks \p R against both lists and
@@ -122,7 +124,7 @@ private:
 
   RaceReport &Report;
   std::vector<VectorClock> ThreadClocks;
-  std::unordered_map<SyncVar, VectorClock, Mix64Hash> SyncClocks;
+  SyncClockMap SyncClocks;
   ShadowMap<AddressState> Shadow;
   /// Join of every thread clock at the last coverage gap; threads first
   /// seen later start behind it so cross-gap pairs stay ordered.

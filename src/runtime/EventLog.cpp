@@ -17,6 +17,7 @@
 #include <chrono>
 #include <cstring>
 #include <fcntl.h>
+#include <iterator>
 #include <sys/mman.h>
 #include <sys/stat.h>
 #include <thread>
@@ -210,24 +211,58 @@ void appendStream(Trace &T, TraceReadStats &S, uint32_t Tid,
   noteThreadRecovered(S, Tid, Count);
 }
 
-/// Appends a raw frame's records to \p Records in one pass: each record
-/// is copied in, folded into the payload CRC32C, kind-checked and counted
-/// into \p Counts. The header must carry its count (payloadCarriesCount()).
+/// Forward iterator over the records of a raw payload, loading each with
+/// memcpy (the payload is only 4-byte aligned in the file). Appending
+/// through vector::insert from it copies every record exactly once, where
+/// resize() would first value-initialize them all.
+class PayloadRecordIterator {
+public:
+  using iterator_category = std::forward_iterator_tag;
+  using value_type = EventRecord;
+  using difference_type = std::ptrdiff_t;
+  using pointer = const EventRecord *;
+  using reference = EventRecord;
+
+  explicit PayloadRecordIterator(const uint8_t *At) : At(At) {}
+
+  EventRecord operator*() const {
+    EventRecord R;
+    std::memcpy(&R, At, sizeof(EventRecord));
+    return R;
+  }
+  PayloadRecordIterator &operator++() {
+    At += sizeof(EventRecord);
+    return *this;
+  }
+  PayloadRecordIterator operator++(int) {
+    PayloadRecordIterator Old = *this;
+    ++*this;
+    return Old;
+  }
+  bool operator==(const PayloadRecordIterator &) const = default;
+
+private:
+  const uint8_t *At;
+};
+
+/// Appends a raw frame's records to \p Records: they are copied in once,
+/// then one pass folds each into the payload CRC32C (the copies are
+/// byte-identical to the payload), kind-checks it and counts it into
+/// \p Counts. The header must carry its count (payloadCarriesCount()).
 /// On a CRC or kind failure the records are trimmed back off and false
 /// returned; \p Counts then counts nothing kept.
 bool appendRawPayload(const SegmentHeader &H, const uint8_t *Payload,
                       std::vector<EventRecord> &Records,
                       EventKindCounts &Counts) {
   const size_t Base = Records.size();
-  Records.resize(Base + H.EventCount);
-  EventRecord *Out = Records.data() + Base;
+  Records.insert(Records.end(), PayloadRecordIterator(Payload),
+                 PayloadRecordIterator(Payload + size_t{H.EventCount} *
+                                                     sizeof(EventRecord)));
+  const EventRecord *Out = Records.data() + Base;
   uint32_t Crc = crc32cInit();
   bool KindsOk = true;
   for (uint32_t I = 0; I != H.EventCount; ++I) {
-    const uint8_t *In = Payload + size_t{I} * sizeof(EventRecord);
-    // memcpy: the payload is only 4-byte aligned in the file.
-    std::memcpy(&Out[I], In, sizeof(EventRecord));
-    Crc = crc32cUpdate(Crc, In, sizeof(EventRecord));
+    Crc = crc32cUpdate(Crc, &Out[I], sizeof(EventRecord));
     KindsOk &= validKind(static_cast<uint8_t>(Out[I].Kind));
     Counts.note(Out[I].Kind);
   }

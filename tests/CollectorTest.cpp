@@ -25,9 +25,11 @@
 #include "telemetry/Prometheus.h"
 
 #include <algorithm>
+#include <chrono>
 #include <cstdio>
 #include <cstring>
 #include <gtest/gtest.h>
+#include <malloc.h>
 #include <string>
 #include <thread>
 #include <vector>
@@ -769,6 +771,75 @@ TEST(CollectorServerTest, StopWithoutStartIsSafe) {
   Server.stop();
   Server.waitForSessions(1); // Must not hang: stop() wakes waiters.
   EXPECT_EQ(Server.sessionsAccepted(), 0u);
+}
+
+TEST(CollectorServerTest, ForgedThreadIdCostsNoPerThreadCollectorState) {
+  // The stream decoder accepts any Tid up to 2^20, so one CRC-valid
+  // record from a hostile client can name thread 2^20. While its session
+  // is live, what the session holds may grow with that id only where it
+  // is known to be dense: HBDetector's thread clocks and the decoder's
+  // per-thread recovery counts (ROADMAP item 2). The collector's own
+  // per-thread bookkeeping must not. mallinfo2 reads zero under the
+  // sanitizers' allocators, so there the check is vacuous.
+  const ThreadId Forged = 1u << 20;
+  const std::string LogPath = tempPath("server-forged.bin");
+  const std::string SocketPath = tempPath("server-forged.sock");
+  {
+    EventRecord R;
+    R.Kind = EventKind::Write;
+    R.Tid = Forged;
+    R.Addr = 0x10;
+    SegmentedFileSink Sink(LogPath, 16);
+    ASSERT_TRUE(Sink.ok());
+    Sink.writeChunk(Forged, &R, 1);
+    ASSERT_TRUE(Sink.close());
+  }
+  const std::vector<uint8_t> Bytes = readFileBytes(LogPath);
+
+  CollectorConfig Config;
+  Config.IngestSocketPath = SocketPath;
+  CollectorServer Server(std::move(Config));
+  std::string Error;
+  ASSERT_TRUE(Server.start(&Error)) << Error;
+  const auto Allocated = [] {
+    const struct mallinfo2 M = mallinfo2();
+    return static_cast<int64_t>(M.uordblks + M.hblkhd);
+  };
+  const int64_t Before = Allocated();
+  // The connection stays open, so the session (and its detector) stays
+  // live while the heap is measured.
+  SocketByteOutput Out(SocketPath);
+  ASSERT_TRUE(Out.ok());
+  for (size_t At = 0; At < Bytes.size();) {
+    const WriteResult W = Out.write(Bytes.data() + At, Bytes.size() - At);
+    ASSERT_TRUE(W.Written > 0 || W.Transient);
+    At += W.Written;
+  }
+  const auto Deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(30);
+  for (;;) {
+    const std::vector<SessionStatus> Sessions = Server.sessionStatuses();
+    if (Sessions.size() == 1 && Sessions[0].Events == 1)
+      break;
+    ASSERT_LT(std::chrono::steady_clock::now(), Deadline)
+        << "the forged record was never detected";
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  const int64_t Grown = Allocated() - Before;
+  Out.close();
+  Server.waitForSessions(1);
+  Server.stop();
+
+  // HBDetector: one VectorClock per id up to the forged one, and the
+  // forged thread's own clock with a component per id. The decoder: one
+  // recovered-event count per id. Anything else dense in the id (the
+  // collector's per-thread counts used to be: 8 MiB more) breaks the
+  // 2 MiB slack.
+  const size_t Ids = size_t{Forged} + 1;
+  const auto Dense = static_cast<int64_t>(
+      Ids * (sizeof(VectorClock) + sizeof(uint64_t)) + Ids * sizeof(uint64_t));
+  EXPECT_LT(Grown, Dense + (int64_t(1) << 21));
+  std::remove(LogPath.c_str());
 }
 
 } // namespace

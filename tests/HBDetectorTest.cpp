@@ -11,9 +11,12 @@
 
 #include "detector/HBDetector.h"
 
+#include "detector/FastTrackDetector.h"
 #include "detector/LogBuilder.h"
+#include "detector/ReferenceDetector.h"
 
 #include <gtest/gtest.h>
+#include <set>
 
 using namespace literace;
 
@@ -314,6 +317,50 @@ TEST(HBDetectorTest, CountsEventsProcessed) {
   EXPECT_EQ(D.memoryEventsProcessed(), 2u);
   EXPECT_EQ(D.syncEventsProcessed(), 2u);
   EXPECT_EQ(D.shadowAddressCount(), 1u);
+}
+
+TEST(HBDetectorTest, ThousandsOfPageSyncVarsMatchTheReference) {
+  // Allocation events make every page a SyncVar (§4.3). 1,200 pages are
+  // handed from thread to thread through alloc/free, first touched in
+  // order, so the sync-clock table grows all through the replay. Thread 4
+  // never synchronizes; its writes to every 97th page race with the page's
+  // owners, and nothing else does.
+  constexpr unsigned Pages = 1200;
+  LogBuilder B(128);
+  std::set<uint64_t> Seeded;
+  for (unsigned P = 0; P != Pages; ++P) {
+    const uint64_t Addr = ((uint64_t{0x100000} + P) << 12) | 0x40;
+    const SyncVar PageVar = makeSyncVar(SyncObjectKind::Page, Addr >> 12);
+    const auto Owner = static_cast<ThreadId>(P % 4);
+    const auto Next = static_cast<ThreadId>((P + 1) % 4);
+    B.onThread(Owner).alloc(PageVar).write(Addr, makePc(1, P)).free(PageVar);
+    if (P % 97 == 0) {
+      B.onThread(4).write(Addr, makePc(9, P));
+      Seeded.insert(Addr);
+    }
+    B.onThread(Next)
+        .alloc(PageVar)
+        .read(Addr, makePc(2, P))
+        .write(Addr, makePc(3, P))
+        .free(PageVar);
+  }
+  const Trace T = B.build();
+
+  RaceReport Oracle;
+  ASSERT_TRUE(detectRacesReference(T, Oracle));
+  EXPECT_EQ(Oracle.racyAddresses(), Seeded);
+
+  RaceReport HB;
+  ASSERT_TRUE(detectRaces(T, HB));
+  EXPECT_EQ(HB.racyAddresses(), Oracle.racyAddresses());
+  const std::set<StaticRaceKey> TrueRaces = Oracle.keys();
+  for (const StaticRaceKey &Key : HB.keys())
+    EXPECT_TRUE(TrueRaces.count(Key))
+        << Key.first << "/" << Key.second << " is not a race";
+
+  RaceReport FastTrack;
+  ASSERT_TRUE(detectRacesFastTrack(T, FastTrack));
+  EXPECT_EQ(FastTrack.racyAddresses(), Oracle.racyAddresses());
 }
 
 } // namespace
