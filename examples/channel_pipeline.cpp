@@ -27,7 +27,7 @@ namespace {
 /// races detected from the on-disk log and the function registry size.
 size_t runAndDetect(RunMode Mode, const std::string &Path,
                     RaceReport &Report) {
-  FileSink Sink(Path, /*NumTimestampCounters=*/128);
+  SegmentedFileSink Sink(Path, /*NumTimestampCounters=*/128);
   if (!Sink.ok()) {
     std::fprintf(stderr, "error: cannot write %s\n", Path.c_str());
     return 0;
@@ -42,15 +42,17 @@ size_t runAndDetect(RunMode Mode, const std::string &Path,
   Workload.run(RT, Params);
   Sink.close();
 
-  auto T = readTraceFile(Path);
-  if (!T) {
-    std::fprintf(stderr, "error: cannot read back %s\n", Path.c_str());
+  const TraceReadResult Read = readTrace(Path);
+  if (Read.Status != TraceReadStatus::Ok) {
+    std::fprintf(stderr, "error: cannot read back %s: %s\n", Path.c_str(),
+                 Read.Error.c_str());
     return 0;
   }
-  if (!detectRaces(*T, Report))
+  const Trace &T = Read.T;
+  if (!detectRaces(T, Report))
     std::fprintf(stderr, "warning: log inconsistent\n");
   std::printf("[%s] %zu events on disk (%.1f MB), %zu static races\n",
-              runModeName(Mode), T->totalEvents(),
+              runModeName(Mode), T.totalEvents(),
               static_cast<double>(Sink.bytesWritten()) / 1e6,
               Report.numStaticRaces());
   return Report.numStaticRaces();

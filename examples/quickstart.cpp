@@ -23,8 +23,8 @@
 using namespace literace;
 
 int main() {
-  // A MemorySink collects the log in-process; use FileSink to write the
-  // paper's on-disk format instead.
+  // A MemorySink collects the log in-process; use SegmentedFileSink to
+  // write the on-disk format instead.
   MemorySink Sink;
   RuntimeConfig Config;
   Config.Mode = RunMode::LiteRace; // The paper's deployment configuration.

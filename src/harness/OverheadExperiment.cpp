@@ -26,9 +26,11 @@ std::pair<double, uint64_t> runOnce(WorkloadKind Kind,
   Config.Mode = Mode;
   Config.Seed = Params.Seed;
 
-  std::unique_ptr<FileSink> Sink;
+  // The sink literace-run writes by default: raw v2 segments.
+  std::unique_ptr<SegmentedFileSink> Sink;
   if (Mode >= RunMode::SyncLogging) {
-    Sink = std::make_unique<FileSink>(LogPath, Config.TimestampCounters);
+    Sink = std::make_unique<SegmentedFileSink>(LogPath,
+                                               Config.TimestampCounters);
     assert(Sink->ok() && "failed to open log file");
   }
 

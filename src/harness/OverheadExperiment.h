@@ -8,7 +8,9 @@
 /// The paper's overhead methodology (§5.4): run each benchmark under the
 /// four instrumentation configurations (baseline, +dispatch checks,
 /// +synchronization logging, full LiteRace) plus the full-logging
-/// comparison point, measuring wall time and generated log volume.
+/// comparison point, measuring wall time and generated log volume. Logs
+/// go through a SegmentedFileSink with default options (raw v2); the
+/// volume counted is 32-byte records, as bytesWritten() reports it.
 ///
 //===----------------------------------------------------------------------===//
 

@@ -6,18 +6,11 @@
 
 #include "runtime/CompressedLog.h"
 
-#include "support/Timer.h"
-#include "telemetry/Metrics.h"
-
 #include <cassert>
-#include <cstdio>
-#include <cstring>
 
 using namespace literace;
 
 namespace {
-
-constexpr uint64_t CompressedMagic = 0x4C52436F6D7001ULL;
 
 /// Per-event header byte: low 4 bits the kind, high bits flags.
 constexpr uint8_t FlagHasMask = 0x10;
@@ -147,100 +140,4 @@ size_t literace::decompressEventStreamInto(const uint8_t *Data, size_t Size,
   if (Counts)
     *Counts += Seen;
   return static_cast<size_t>(Stop - Data);
-}
-
-PartialDecode literace::decompressEventStreamPartial(const uint8_t *Data,
-                                                     size_t Size,
-                                                     ThreadId Tid) {
-  PartialDecode Result;
-  Result.BytesConsumed =
-      decompressEventStreamInto(Data, Size, Tid, Result.Events);
-  Result.Complete = Result.BytesConsumed == Size;
-  return Result;
-}
-
-std::optional<std::vector<EventRecord>>
-literace::decompressEventStream(const uint8_t *Data, size_t Size,
-                                ThreadId Tid) {
-  PartialDecode Partial = decompressEventStreamPartial(Data, Size, Tid);
-  if (!Partial.Complete)
-    return std::nullopt;
-  return std::move(Partial.Events);
-}
-
-CompressedFileSink::CompressedFileSink(const std::string &Path,
-                                       unsigned NumTimestampCounters)
-    : Path(Path), NumTimestampCounters(NumTimestampCounters) {}
-
-CompressedFileSink::~CompressedFileSink() { close(); }
-
-void CompressedFileSink::writeChunk(ThreadId Tid,
-                                    const EventRecord *Records,
-                                    size_t Count) {
-  std::lock_guard<std::mutex> Guard(Lock);
-  assert(!Closed && "writeChunk after close()");
-  if (Tid >= PerThread.size())
-    PerThread.resize(Tid + 1);
-  PerThread[Tid].insert(PerThread[Tid].end(), Records, Records + Count);
-  addBytes(Count * sizeof(EventRecord));
-}
-
-bool CompressedFileSink::close() {
-  std::lock_guard<std::mutex> Guard(Lock);
-  if (Closed)
-    return true;
-  Closed = true;
-
-  std::FILE *File = std::fopen(Path.c_str(), "wb");
-  if (!File)
-    return false;
-  bool Ok = true;
-  uint64_t Magic = CompressedMagic;
-  uint32_t Counters = NumTimestampCounters;
-  uint32_t NumThreads = static_cast<uint32_t>(PerThread.size());
-  Ok &= std::fwrite(&Magic, sizeof(Magic), 1, File) == 1;
-  Ok &= std::fwrite(&Counters, sizeof(Counters), 1, File) == 1;
-  Ok &= std::fwrite(&NumThreads, sizeof(NumThreads), 1, File) == 1;
-  CompressedSize = sizeof(Magic) + sizeof(Counters) + sizeof(NumThreads);
-
-  WallTimer EncodeTimer;
-  std::vector<uint8_t> Buffer;
-  for (const auto &Stream : PerThread) {
-    Buffer.clear();
-    compressEventStream(Stream, Buffer);
-    uint64_t Size = Buffer.size();
-    Ok &= std::fwrite(&Size, sizeof(Size), 1, File) == 1;
-    if (Size)
-      Ok &= std::fwrite(Buffer.data(), 1, Buffer.size(), File) ==
-            Buffer.size();
-    CompressedSize += sizeof(Size) + Buffer.size();
-  }
-  Ok &= std::fclose(File) == 0;
-
-  // Logger-plane telemetry: raw vs. encoded volume and the ratio, folded
-  // into the process registry once per file.
-  if (telemetry::MetricsRegistry *M = telemetry::resolveRegistry(nullptr)) {
-    telemetry::ThreadSlab &Slab = M->threadSlab();
-    const uint64_t Raw = bytesWritten();
-    Slab.add(M->counter("logger.raw_bytes"), Raw);
-    Slab.add(M->counter("logger.compressed_bytes"), CompressedSize);
-    Slab.add(M->counter("logger.files_closed"));
-    Slab.record(M->histogram("logger.encode_ns"),
-                EncodeTimer.nanoseconds());
-    if (Raw)
-      Slab.gaugeMax(M->gaugeMax("logger.compression_ratio_pct"),
-                    CompressedSize * 100 / Raw);
-  }
-  return Ok;
-}
-
-std::optional<Trace>
-literace::readCompressedTraceFile(const std::string &Path) {
-  TraceReadOptions Strict;
-  Strict.Salvage = false;
-  TraceReadResult R = readTrace(Path, Strict);
-  if (R.Status != TraceReadStatus::Ok ||
-      R.Stats.Format != TraceFormat::V1Compressed)
-    return std::nullopt;
-  return std::move(R.T);
 }

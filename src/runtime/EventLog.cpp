@@ -28,19 +28,17 @@ using namespace literace;
 namespace {
 
 constexpr uint64_t FileMagic = 0x4C695465526163ULL; // "LiteRac"
-constexpr uint32_t FileVersion = 1;
-/// v2: same FileHeader, then checksummed segments (docs/LOG_FORMAT.md).
+/// FileHeader, then checksummed segments (docs/LOG_FORMAT.md).
 constexpr uint32_t SegmentedFileVersion = 2;
+/// Headers of the retired v1 formats, which readTrace() refuses by name:
+/// FileMagic with this version, or a file starting with the magic below.
+constexpr uint32_t RetiredVersion1 = 1;
+constexpr uint64_t RetiredCompressedMagic = 0x4C52436F6D7001ULL;
 
 struct FileHeader {
   uint64_t Magic;
   uint32_t Version;
   uint32_t NumTimestampCounters;
-};
-
-struct ChunkHeader {
-  uint32_t Tid;
-  uint32_t Count;
 };
 
 /// v2 segment framing. Each frame is SegmentHeader + PayloadBytes of
@@ -96,13 +94,6 @@ bool validKind(uint8_t K) {
   return K <= static_cast<uint8_t>(EventKind::PolicyMeta);
 }
 
-bool validRecords(const EventRecord *Records, size_t Count) {
-  for (size_t I = 0; I != Count; ++I)
-    if (!validKind(static_cast<uint8_t>(Records[I].Kind)))
-      return false;
-  return true;
-}
-
 /// Reads up to \p Size bytes of \p Fd into \p Out, stopping short only
 /// at end of input or on an error. Returns the bytes read.
 size_t readUpTo(int Fd, uint8_t *Out, size_t Size) {
@@ -124,21 +115,18 @@ struct FileBytes {
   size_t Size = 0;
 };
 
-/// Reads \p Fd to its end into one buffer sized from fstat, after the
-/// \p PrefixSize bytes of it already read into \p Prefix. The buffer
+/// Reads \p Fd to its end into one buffer sized from fstat. The buffer
 /// grows only if the file grows (or, for a pipe, has no size up front).
 /// Deliberately not mmap: a file truncated under a mapping would SIGBUS
 /// the reader instead of reading as a truncated tail.
-FileBytes readToEnd(int Fd, const uint8_t *Prefix, size_t PrefixSize) {
+FileBytes readToEnd(int Fd) {
   struct stat St;
   const size_t Known =
       ::fstat(Fd, &St) == 0 ? static_cast<size_t>(St.st_size) : 0;
   // The slack lets EOF show as a short read instead of a full buffer.
-  size_t Cap = std::max(Known, PrefixSize) + (size_t{1} << 16);
+  size_t Cap = Known + (size_t{1} << 16);
   FileBytes F;
   F.Data = std::make_unique_for_overwrite<uint8_t[]>(Cap);
-  std::copy(Prefix, Prefix + PrefixSize, F.Data.get());
-  F.Size = PrefixSize;
   for (;;) {
     if (F.Size == Cap) {
       auto Grown = std::make_unique_for_overwrite<uint8_t[]>(Cap * 2);
@@ -183,32 +171,6 @@ size_t findNextHeader(const uint8_t *Data, size_t Size, size_t From) {
       return O;
   }
   return Size;
-}
-
-void noteThreadRecovered(TraceReadStats &S, uint32_t Tid, uint64_t Events) {
-  if (Tid >= S.PerThreadRecovered.size())
-    S.PerThreadRecovered.resize(Tid + 1);
-  S.PerThreadRecovered[Tid] += Events;
-}
-
-void noteThreadDropped(TraceReadStats &S, uint32_t Tid) {
-  if (Tid >= S.PerThreadDropped.size())
-    S.PerThreadDropped.resize(Tid + 1);
-  S.PerThreadDropped[Tid] += 1;
-}
-
-void appendStream(Trace &T, TraceReadStats &S, uint32_t Tid,
-                  const EventRecord *Records, size_t Count) {
-  if (Tid >= T.PerThread.size())
-    T.PerThread.resize(Tid + 1);
-  T.PerThread[Tid].insert(T.PerThread[Tid].end(), Records, Records + Count);
-  S.EventsRecovered += Count;
-  EventKindCounts Counts;
-  for (size_t I = 0; I != Count; ++I)
-    Counts.note(Records[I].Kind);
-  S.MemoryEvents += Counts.Memory;
-  S.SyncEvents += Counts.Sync;
-  noteThreadRecovered(S, Tid, Count);
 }
 
 /// Forward iterator over the records of a raw payload, loading each with
@@ -367,115 +329,6 @@ void reservePerThread(int Fd, uint64_t O, Trace &T) {
   adviseHugePages(T);
 }
 
-/// Salvages a v1 raw (FileSink) stream: keeps the longest prefix of
-/// intact chunks. v1 framing has no magic to resync on, so damage to a
-/// chunk header loses the tail.
-void parseV1Raw(const uint8_t *Data, size_t Size, TraceReadResult &Res) {
-  TraceReadStats &S = Res.Stats;
-  size_t O = sizeof(FileHeader);
-  bool Clean = true;
-  std::vector<EventRecord> Records;
-  while (O < Size) {
-    ChunkHeader C;
-    if (O + sizeof(ChunkHeader) > Size) {
-      S.TruncatedTail = true;
-      ++S.SegmentsDropped;
-      S.BytesDropped += Size - O;
-      Clean = false;
-      break;
-    }
-    std::memcpy(&C, Data + O, sizeof(C));
-    uint64_t Bytes = static_cast<uint64_t>(C.Count) * sizeof(EventRecord);
-    if (C.Tid > MaxReasonableTid ||
-        O + sizeof(ChunkHeader) + Bytes > Size) {
-      // Either a truncated chunk or a corrupt count; the framing past
-      // this point cannot be trusted either way.
-      S.TruncatedTail = true;
-      ++S.SegmentsDropped;
-      S.BytesDropped += Size - O;
-      Clean = false;
-      break;
-    }
-    Records.resize(C.Count);
-    std::memcpy(Records.data(), Data + O + sizeof(ChunkHeader), Bytes);
-    if (validRecords(Records.data(), Records.size())) {
-      appendStream(Res.T, S, C.Tid, Records.data(), Records.size());
-      ++S.SegmentsRecovered;
-    } else {
-      // Undetectable-by-framing damage inside the chunk; the count is
-      // still usable, so only this chunk is lost.
-      ++S.SegmentsDropped;
-      S.BytesDropped += sizeof(ChunkHeader) + Bytes;
-      noteThreadDropped(S, C.Tid);
-      Clean = false;
-    }
-    O += sizeof(ChunkHeader) + Bytes;
-  }
-  S.CleanShutdown = Clean && !S.TruncatedTail;
-}
-
-/// Salvages a v1 compressed (CompressedFileSink) file: per-thread
-/// streams decode independently; a damaged stream keeps its cleanly
-/// decoded prefix.
-void parseV1Compressed(const uint8_t *Data, size_t Size,
-                       TraceReadResult &Res) {
-  TraceReadStats &S = Res.Stats;
-  size_t O = sizeof(uint64_t);
-  uint32_t Counters = 0;
-  uint32_t NumThreads = 0;
-  std::memcpy(&Counters, Data + O, sizeof(Counters));
-  O += sizeof(Counters);
-  std::memcpy(&NumThreads, Data + O, sizeof(NumThreads));
-  O += sizeof(NumThreads);
-  Res.T.NumTimestampCounters = Counters ? Counters : 128;
-  if (static_cast<uint64_t>(NumThreads) * sizeof(uint64_t) > Size) {
-    // Corrupt thread count; nothing downstream is trustworthy.
-    ++S.SegmentsDropped;
-    S.BytesDropped += Size - O;
-    S.TruncatedTail = true;
-    return;
-  }
-  bool Clean = Counters != 0;
-  for (uint32_t Tid = 0; Tid != NumThreads; ++Tid) {
-    if (O + sizeof(uint64_t) > Size) {
-      S.TruncatedTail = true;
-      ++S.SegmentsDropped;
-      S.BytesDropped += Size - O;
-      return;
-    }
-    uint64_t StreamSize = 0;
-    std::memcpy(&StreamSize, Data + O, sizeof(StreamSize));
-    O += sizeof(StreamSize);
-    bool Truncated = StreamSize > Size - O;
-    size_t Avail = Truncated ? Size - O : static_cast<size_t>(StreamSize);
-    PartialDecode Partial =
-        decompressEventStreamPartial(Data + O, Avail, Tid);
-    if (!Partial.Events.empty())
-      appendStream(Res.T, S, Tid, Partial.Events.data(),
-                   Partial.Events.size());
-    if (!Truncated && Partial.Complete) {
-      ++S.SegmentsRecovered;
-    } else {
-      ++S.SegmentsDropped;
-      S.BytesDropped += Avail - Partial.BytesConsumed;
-      noteThreadDropped(S, Tid);
-      if (Truncated) {
-        S.TruncatedTail = true;
-        return;
-      }
-    }
-    O += Avail;
-  }
-  if (O < Size) {
-    // Trailing garbage after the last declared stream.
-    ++S.SegmentsDropped;
-    S.BytesDropped += Size - O;
-    Clean = false;
-  }
-  S.CleanShutdown = Clean && !S.TruncatedTail &&
-                    S.SegmentsDropped == 0;
-}
-
 } // namespace
 
 size_t Trace::totalEvents() const {
@@ -551,43 +404,6 @@ Trace MemorySink::takeTrace() {
   T.PerThread = std::move(PerThread);
   PerThread.clear();
   return T;
-}
-
-FileSink::FileSink(const std::string &Path, unsigned NumTimestampCounters) {
-  File = std::fopen(Path.c_str(), "wb");
-  if (!File)
-    return;
-  FileHeader Header{FileMagic, FileVersion, NumTimestampCounters};
-  if (std::fwrite(&Header, sizeof(Header), 1, File) != 1) {
-    std::fclose(File);
-    File = nullptr;
-  }
-}
-
-FileSink::~FileSink() { close(); }
-
-void FileSink::writeChunk(ThreadId Tid, const EventRecord *Records,
-                          size_t Count) {
-  assert(File && "writeChunk on a closed or failed FileSink");
-  ChunkHeader Header{Tid, static_cast<uint32_t>(Count)};
-  std::lock_guard<std::mutex> Guard(Lock);
-  std::fwrite(&Header, sizeof(Header), 1, File);
-  std::fwrite(Records, sizeof(EventRecord), Count, File);
-  addBytes(Count * sizeof(EventRecord));
-}
-
-void FileSink::flush() {
-  std::lock_guard<std::mutex> Guard(Lock);
-  if (File)
-    std::fflush(File);
-}
-
-void FileSink::close() {
-  std::lock_guard<std::mutex> Guard(Lock);
-  if (File) {
-    std::fclose(File);
-    File = nullptr;
-  }
 }
 
 void NullSink::writeChunk(ThreadId, const EventRecord *, size_t Count) {
@@ -766,10 +582,6 @@ const char *literace::traceFormatName(TraceFormat F) {
   switch (F) {
   case TraceFormat::Unknown:
     return "unknown";
-  case TraceFormat::V1Raw:
-    return "v1-raw";
-  case TraceFormat::V1Compressed:
-    return "v1-compressed";
   case TraceFormat::V2Segmented:
     return "v2-segmented";
   }
@@ -792,48 +604,31 @@ TraceReadResult literace::readTrace(const std::string &Path,
   FileHeader Header{};
   if (HeadSize == sizeof(Header))
     std::memcpy(&Header, Head, sizeof(Header));
-  const bool Framed =
-      Header.Magic == FileMagic && Header.NumTimestampCounters != 0;
-  bool Parsed = true;
-  if (Framed && Header.Version == FileVersion) {
-    const FileBytes File = readToEnd(Fd, Head, HeadSize);
-    S.Format = TraceFormat::V1Raw;
-    Res.T.NumTimestampCounters = Header.NumTimestampCounters;
-    parseV1Raw(File.Data.get(), File.Size, Res);
-    S.BytesRead = File.Size;
-  } else if (Header.Magic == 0x4C52436F6D7001ULL) {
-    const FileBytes File = readToEnd(Fd, Head, HeadSize);
-    S.Format = TraceFormat::V1Compressed;
-    parseV1Compressed(File.Data.get(), File.Size, Res);
-    S.BytesRead = File.Size;
-  } else {
-    // v2, or a damaged or missing file header: v2 frames are
-    // self-describing, so the decoder resyncs on the first valid one.
-    // Frames still start right after a merely damaged header, so the
-    // reservation walks them from there in both cases.
-    reservePerThread(Fd, sizeof(FileHeader), Res.T);
-    SegmentStreamDecoder D;
-    D.feed(Head, HeadSize);
-    const bool FoundFrame = D.decodeAll(Fd, Res.T);
-    Parsed = (Framed && Header.Version == SegmentedFileVersion) || FoundFrame;
-    if (Parsed) {
-      S = D.stats();
-      S.BytesRead = D.bytesConsumed();
-    }
+  if ((Header.Magic == FileMagic && Header.Version == RetiredVersion1) ||
+      Header.Magic == RetiredCompressedMagic) {
+    // Refused, not scanned: a v1 file holds no v2 frames to salvage.
+    ::close(Fd);
+    Res.Error = Path + " is in the retired v1 trace format, which is no "
+                       "longer read; re-record it";
+    return Res;
   }
+  // A damaged or missing file header is no reason to stop: frames are
+  // self-describing, so the decoder resyncs on the first valid one.
+  // Frames still start right after a merely damaged header, so the
+  // reservation walks them from there in both cases.
+  reservePerThread(Fd, sizeof(FileHeader), Res.T);
+  SegmentStreamDecoder D;
+  D.feed(Head, HeadSize);
+  const bool FoundFrame = D.decodeAll(Fd, Res.T);
   ::close(Fd);
-  if (!Parsed) {
+  if (!FoundFrame && !(Header.Magic == FileMagic &&
+                       Header.Version == SegmentedFileVersion &&
+                       Header.NumTimestampCounters != 0)) {
     Res.Error = "not a literace trace file: " + Path;
     return Res;
   }
-
-  // Keep the per-thread accounting vectors the same length so callers
-  // can iterate them together.
-  size_t Threads = std::max({Res.T.PerThread.size(),
-                             S.PerThreadRecovered.size(),
-                             S.PerThreadDropped.size()});
-  S.PerThreadRecovered.resize(Threads);
-  S.PerThreadDropped.resize(Threads);
+  S = D.stats();
+  S.BytesRead = D.bytesConsumed();
 
   if (telemetry::MetricsRegistry *M =
           telemetry::resolveRegistry(Options.Metrics)) {
@@ -882,7 +677,7 @@ std::vector<SegmentInfo> literace::scanSegments(const std::string &Path) {
   const int Fd = ::open(Path.c_str(), O_RDONLY | O_CLOEXEC);
   if (Fd < 0)
     return Inventory;
-  const FileBytes File = readToEnd(Fd, nullptr, 0);
+  const FileBytes File = readToEnd(Fd);
   ::close(Fd);
   const uint8_t *Data = File.Data.get();
   const size_t Size = File.Size;
@@ -929,15 +724,6 @@ std::vector<SegmentInfo> literace::scanSegments(const std::string &Path) {
     O = findNextHeader(Data, Size, O + 1);
   }
   return Inventory;
-}
-
-std::optional<Trace> literace::readTraceFile(const std::string &Path) {
-  TraceReadOptions Strict;
-  Strict.Salvage = false;
-  TraceReadResult R = readTrace(Path, Strict);
-  if (R.Status != TraceReadStatus::Ok || R.Stats.Format != TraceFormat::V1Raw)
-    return std::nullopt;
-  return std::move(R.T);
 }
 
 //===----------------------------------------------------------------------===//
@@ -1126,7 +912,6 @@ size_t SegmentStreamDecoder::parse(const uint8_t *Data, size_t Size,
         Stats.EventsRecovered += H.EventCount;
         Stats.MemoryEvents += Counts.Memory;
         Stats.SyncEvents += Counts.Sync;
-        noteThreadRecovered(Stats, H.Tid, H.EventCount);
         ++Stats.SegmentsRecovered;
       }
     }
@@ -1136,7 +921,7 @@ size_t SegmentStreamDecoder::parse(const uint8_t *Data, size_t Size,
       ++Stats.SegmentsDropped;
       Stats.BytesDropped += FrameBytes;
       if (!IsFooter)
-        noteThreadDropped(Stats, H.Tid);
+        ++Stats.PerThreadDropped[H.Tid];
     }
     LastDecodedWasFooter = Decoded && IsFooter;
     O += FrameBytes;
@@ -1153,7 +938,7 @@ void SegmentStreamDecoder::noteGap(uint64_t ShedBytes) {
     // loss to its thread, as in finish()'s truncated-tail accounting.
     SegmentHeader H;
     if (parseSegmentHeader(Buffer.data(), Buffer.size(), H))
-      noteThreadDropped(Stats, H.Tid);
+      ++Stats.PerThreadDropped[H.Tid];
     Stats.BytesDropped += Buffer.size();
     Buffer.clear();
   }
@@ -1185,7 +970,7 @@ void SegmentStreamDecoder::settle(const uint8_t *Tail, size_t Leftover) {
     Stats.BytesDropped += Leftover;
     SegmentHeader H;
     if (parseSegmentHeader(Tail, Leftover, H))
-      noteThreadDropped(Stats, H.Tid);
+      ++Stats.PerThreadDropped[H.Tid];
     LastDecodedWasFooter = false;
   }
   Stats.CleanShutdown = LastDecodedWasFooter;
@@ -1199,10 +984,6 @@ void SegmentStreamDecoder::settle(const uint8_t *Tail, size_t Leftover) {
          FooterTotalSegments != Stats.SegmentsRecovered))
       Stats.FooterTotalsMismatch = true;
   }
-  const size_t Threads = std::max(Stats.PerThreadRecovered.size(),
-                                  Stats.PerThreadDropped.size());
-  Stats.PerThreadRecovered.resize(Threads);
-  Stats.PerThreadDropped.resize(Threads);
 }
 
 bool SegmentStreamDecoder::take(Chunk &Out) {

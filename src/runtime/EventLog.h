@@ -9,12 +9,11 @@
 /// its events locally and flushes fixed-size chunks to a LogSink. Chunks
 /// from one thread arrive in program order, so a sink can reassemble exact
 /// per-thread event streams. Sinks: in-memory (for the detection
-/// experiments), the legacy v1 file sink, the crash-consistent v2
-/// segmented file sink, and a counting null sink.
+/// experiments), the crash-consistent segmented file sink (the one
+/// on-disk format, raw or compressed payloads), and a counting null sink.
 ///
-/// Reading back goes through readTrace(), which accepts every on-disk
-/// format and — unlike the strict legacy readers — salvages damaged
-/// files: it recovers every intact checksummed segment, drops corrupt or
+/// Reading back goes through readTrace(), which salvages damaged files:
+/// it recovers every intact checksummed segment, drops corrupt or
 /// truncated ones, and reports exact per-thread coverage accounting in a
 /// TraceReadResult instead of failing the whole file
 /// (docs/ROBUSTNESS.md).
@@ -27,11 +26,10 @@
 #include "runtime/Ids.h"
 
 #include <atomic>
-#include <cstdio>
 #include <deque>
+#include <map>
 #include <memory>
 #include <mutex>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -138,29 +136,6 @@ private:
   std::vector<std::vector<EventRecord>> PerThread;
 };
 
-/// Streams chunks to a binary log file. Format: FileHeader, then a sequence
-/// of ChunkHeader + records. Readable with readTraceFile().
-class FileSink : public LogSink {
-public:
-  /// Opens \p Path for writing. Check ok() before use.
-  FileSink(const std::string &Path, unsigned NumTimestampCounters = 128);
-  ~FileSink() override;
-
-  /// True if the file opened and the header was written.
-  bool ok() const { return File != nullptr; }
-
-  void writeChunk(ThreadId Tid, const EventRecord *Records,
-                  size_t Count) override;
-  void flush() override;
-
-  /// Flushes and closes the file; further writes are invalid.
-  void close();
-
-private:
-  std::mutex Lock;
-  std::FILE *File = nullptr;
-};
-
 /// Discards all records but counts bytes; used to measure pure logging CPU
 /// cost without filesystem noise.
 class NullSink : public LogSink {
@@ -258,9 +233,7 @@ private:
 /// On-disk format of a trace file, as sniffed by readTrace().
 enum class TraceFormat : uint8_t {
   Unknown = 0,
-  V1Raw,        ///< FileSink: unframed header + chunk stream
-  V1Compressed, ///< CompressedFileSink: whole-file per-thread streams
-  V2Segmented,  ///< SegmentedFileSink: checksummed frames + footer
+  V2Segmented, ///< SegmentedFileSink: checksummed frames + footer
 };
 
 const char *traceFormatName(TraceFormat F);
@@ -269,10 +242,9 @@ const char *traceFormatName(TraceFormat F);
 /// provably lost, and whether the producer shut down cleanly.
 struct TraceReadStats {
   TraceFormat Format = TraceFormat::Unknown;
-  /// Intact frames decoded (v2) or chunks/streams decoded (v1).
+  /// Intact frames decoded.
   uint64_t SegmentsRecovered = 0;
-  /// Frames dropped for bad CRC, malformed records, or truncation; for
-  /// v1, damaged-tail regions.
+  /// Frames dropped for bad CRC, malformed records, or truncation.
   uint64_t SegmentsDropped = 0;
   uint64_t EventsRecovered = 0;
   /// Memory and sync records among the EventsRecovered, counted while
@@ -281,31 +253,30 @@ struct TraceReadStats {
   uint64_t MemoryEvents = 0;
   uint64_t SyncEvents = 0;
   uint64_t BytesDropped = 0;
-  /// v2: bytes of the frames decoded (data and footer). With the file
+  /// Bytes of the frames decoded (data and footer). With the file
   /// header, BytesRecovered + BytesDropped covers every byte read.
   uint64_t BytesRecovered = 0;
-  /// v2: the footer frame was present and valid at end-of-file. v1 has
-  /// no footer; set when the file parsed completely.
+  /// The footer frame was present and valid at end-of-file.
   bool CleanShutdown = false;
   /// The file ended inside a frame (producer died mid-write).
   bool TruncatedTail = false;
-  /// v2: events the *writer* itself discarded (write failures or async
+  /// Events the *writer* itself discarded (write failures or async
   /// Drop-policy backpressure), as recorded in the footer. These bytes
   /// never reached the file, so they appear in no other counter; any
   /// nonzero value makes the read Salvaged.
   uint64_t EventsDroppedByWriter = 0;
-  /// v2: the footer's totals disagree with what an otherwise-clean read
+  /// The footer's totals disagree with what an otherwise-clean read
   /// recovered — the file was tampered with or mis-assembled.
   bool FooterTotalsMismatch = false;
   /// The file header itself was damaged and segments were recovered by
-  /// scanning (v2 only).
+  /// scanning.
   bool SalvagedHeader = false;
   /// readTrace(): bytes of input the read covered (the file size, for a
   /// file read to its end).
   uint64_t BytesRead = 0;
-  /// Events recovered / frames dropped, indexed by thread id.
-  std::vector<uint64_t> PerThreadRecovered;
-  std::vector<uint64_t> PerThreadDropped;
+  /// Frames dropped, by thread id, for the threads that lost any. (The
+  /// events recovered for thread Tid are the read's PerThread[Tid].)
+  std::map<uint32_t, uint64_t> PerThreadDropped;
 };
 
 enum class TraceReadStatus : uint8_t {
@@ -336,9 +307,9 @@ struct TraceReadOptions {
   telemetry::MetricsRegistry *Metrics = nullptr;
 };
 
-/// Reads any literace log format back into a Trace, salvaging damaged v2
-/// files frame by frame (and v1 files by longest valid prefix). Never
-/// throws and never aborts on malformed bytes.
+/// Reads a segmented log back into a Trace, salvaging a damaged file
+/// frame by frame. A file in the retired v1 formats reads as Unreadable
+/// (docs/LOG_FORMAT.md). Never throws and never aborts on malformed bytes.
 TraceReadResult readTrace(const std::string &Path,
                           const TraceReadOptions &Options = TraceReadOptions());
 
@@ -460,11 +431,6 @@ struct SegmentInfo {
 /// Scans a v2 segmented file and returns its frame inventory (empty for
 /// other formats or unreadable files). Tolerates arbitrary damage.
 std::vector<SegmentInfo> scanSegments(const std::string &Path);
-
-/// Reads a log file written by FileSink back into a Trace. Returns
-/// std::nullopt if the file is missing, not v1, or imperfect in any way:
-/// readTrace() in strict mode (TraceReadOptions::Salvage off).
-std::optional<Trace> readTraceFile(const std::string &Path);
 
 } // namespace literace
 

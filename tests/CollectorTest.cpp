@@ -777,10 +777,10 @@ TEST(CollectorServerTest, ForgedThreadIdCostsNoPerThreadCollectorState) {
   // The stream decoder accepts any Tid up to 2^20, so one CRC-valid
   // record from a hostile client can name thread 2^20. While its session
   // is live, what the session holds may grow with that id only where it
-  // is known to be dense: HBDetector's thread clocks and the decoder's
-  // per-thread recovery counts (ROADMAP item 2). The collector's own
-  // per-thread bookkeeping must not. mallinfo2 reads zero under the
-  // sanitizers' allocators, so there the check is vacuous.
+  // is known to be dense: HBDetector's thread clocks (ROADMAP item 2).
+  // The decoder's and the collector's own per-thread bookkeeping must
+  // not. mallinfo2 reads zero under the sanitizers' allocators, so there
+  // the check is vacuous.
   const ThreadId Forged = 1u << 20;
   const std::string LogPath = tempPath("server-forged.bin");
   const std::string SocketPath = tempPath("server-forged.sock");
@@ -831,13 +831,13 @@ TEST(CollectorServerTest, ForgedThreadIdCostsNoPerThreadCollectorState) {
   Server.stop();
 
   // HBDetector: one VectorClock per id up to the forged one, and the
-  // forged thread's own clock with a component per id. The decoder: one
-  // recovered-event count per id. Anything else dense in the id (the
-  // collector's per-thread counts used to be: 8 MiB more) breaks the
+  // forged thread's own clock with a component per id. Anything else
+  // dense in the id (the collector's per-thread counts and the decoder's
+  // per-thread recovered counts used to be: 8 MiB more each) breaks the
   // 2 MiB slack.
   const size_t Ids = size_t{Forged} + 1;
-  const auto Dense = static_cast<int64_t>(
-      Ids * (sizeof(VectorClock) + sizeof(uint64_t)) + Ids * sizeof(uint64_t));
+  const auto Dense =
+      static_cast<int64_t>(Ids * (sizeof(VectorClock) + sizeof(uint64_t)));
   EXPECT_LT(Grown, Dense + (int64_t(1) << 21));
   std::remove(LogPath.c_str());
 }

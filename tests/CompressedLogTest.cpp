@@ -16,6 +16,8 @@
 #include <cstdio>
 #include <gtest/gtest.h>
 #include <memory>
+#include <optional>
+#include <sys/stat.h>
 
 using namespace literace;
 
@@ -44,10 +46,20 @@ std::string tempPath(const char *Name) {
   return std::string(::testing::TempDir()) + Name;
 }
 
+/// The whole-input decode: the records, or nullopt unless every byte of
+/// \p Data decoded cleanly.
+std::optional<std::vector<EventRecord>>
+decodeWhole(const uint8_t *Data, size_t Size, ThreadId Tid) {
+  std::vector<EventRecord> Out;
+  if (decompressEventStreamInto(Data, Size, Tid, Out) != Size)
+    return std::nullopt;
+  return Out;
+}
+
 TEST(CompressedStreamTest, EmptyStream) {
   std::vector<uint8_t> Out;
   EXPECT_EQ(compressEventStream({}, Out), 0u);
-  auto Back = decompressEventStream(Out.data(), Out.size(), 0);
+  auto Back = decodeWhole(Out.data(), Out.size(), 0);
   ASSERT_TRUE(Back.has_value());
   EXPECT_TRUE(Back->empty());
 }
@@ -69,7 +81,7 @@ TEST(CompressedStreamTest, RoundTripsAllKinds) {
 
   std::vector<uint8_t> Out;
   compressEventStream(T.PerThread[3], Out);
-  auto Back = decompressEventStream(Out.data(), Out.size(), 3);
+  auto Back = decodeWhole(Out.data(), Out.size(), 3);
   ASSERT_TRUE(Back.has_value());
   ASSERT_EQ(Back->size(), T.PerThread[3].size());
   for (size_t I = 0; I != Back->size(); ++I)
@@ -109,7 +121,7 @@ TEST(CompressedStreamTest, RandomStreamsRoundTripExactly) {
     }
     std::vector<uint8_t> Out;
     compressEventStream(Stream, Out);
-    auto Back = decompressEventStream(Out.data(), Out.size(), 5);
+    auto Back = decodeWhole(Out.data(), Out.size(), 5);
     ASSERT_TRUE(Back.has_value());
     ASSERT_EQ(Back->size(), Stream.size());
     for (size_t I = 0; I != Stream.size(); ++I)
@@ -123,7 +135,7 @@ TEST(CompressedStreamTest, TruncatedInputIsRejected) {
   std::vector<uint8_t> Out;
   compressEventStream(B.build().PerThread[0], Out);
   for (size_t Cut = 1; Cut < Out.size(); ++Cut) {
-    auto Back = decompressEventStream(Out.data(), Cut, 0);
+    auto Back = decodeWhole(Out.data(), Cut, 0);
     // Either cleanly rejected or a strict prefix; never garbage kinds.
     if (Back) {
       for (const EventRecord &R : *Back)
@@ -135,10 +147,10 @@ TEST(CompressedStreamTest, TruncatedInputIsRejected) {
 
 TEST(CompressedStreamTest, GarbageKindIsRejected) {
   uint8_t Garbage[] = {0x0f, 0x00, 0x00, 0x00}; // Kind 15 is invalid.
-  EXPECT_FALSE(decompressEventStream(Garbage, sizeof(Garbage), 0));
+  EXPECT_FALSE(decodeWhole(Garbage, sizeof(Garbage), 0));
 }
 
-TEST(CompressedStreamTest, PartialDecodeKeepsTheCleanPrefix) {
+TEST(CompressedStreamTest, TruncatedDecodeKeepsTheCleanPrefix) {
   LogBuilder B(16);
   SyncVar M = makeSyncVar(SyncObjectKind::Mutex, 0x8000);
   B.onThread(0)
@@ -152,38 +164,39 @@ TEST(CompressedStreamTest, PartialDecodeKeepsTheCleanPrefix) {
   std::vector<uint8_t> Out;
   compressEventStream(Stream, Out);
 
-  PartialDecode Whole =
-      decompressEventStreamPartial(Out.data(), Out.size(), 0);
-  EXPECT_TRUE(Whole.Complete);
-  EXPECT_EQ(Whole.BytesConsumed, Out.size());
-  ASSERT_EQ(Whole.Events.size(), Stream.size());
+  std::vector<EventRecord> Whole;
+  EXPECT_EQ(decompressEventStreamInto(Out.data(), Out.size(), 0, Whole),
+            Out.size());
+  ASSERT_EQ(Whole.size(), Stream.size());
 
   // Every truncation yields a prefix of the true stream, never garbage,
-  // and the decoded length is monotone in the cut position.
+  // and the decoded length is monotone in the cut position. The bytes
+  // consumed reach the cut exactly when it lands on a record boundary
+  // (the full stream included).
   size_t Prev = 0;
+  size_t Boundaries = 0;
   for (size_t Cut = 0; Cut <= Out.size(); ++Cut) {
-    PartialDecode P = decompressEventStreamPartial(Out.data(), Cut, 0);
-    // Complete means every supplied byte decoded cleanly — true exactly
-    // when the cut lands on a record boundary (incl. the full stream).
-    EXPECT_EQ(P.Complete, P.BytesConsumed == Cut);
-    EXPECT_LE(P.BytesConsumed, Cut);
-    ASSERT_LE(P.Events.size(), Stream.size());
-    EXPECT_GE(P.Events.size(), Prev) << "cut=" << Cut;
-    Prev = P.Events.size();
-    for (size_t I = 0; I != P.Events.size(); ++I)
-      EXPECT_TRUE(recordsEqual(P.Events[I], Stream[I])) << "cut=" << Cut;
+    std::vector<EventRecord> Events;
+    const size_t Used = decompressEventStreamInto(Out.data(), Cut, 0, Events);
+    EXPECT_LE(Used, Cut);
+    ASSERT_LE(Events.size(), Stream.size());
+    EXPECT_GE(Events.size(), Prev) << "cut=" << Cut;
+    Boundaries += Used == Cut && Events.size() != Prev;
+    Prev = Events.size();
+    for (size_t I = 0; I != Events.size(); ++I)
+      EXPECT_TRUE(recordsEqual(Events[I], Stream[I])) << "cut=" << Cut;
   }
+  EXPECT_EQ(Boundaries, Stream.size());
 }
 
-TEST(CompressedStreamTest, PartialDecodeOfGarbageIsEmptyNotFatal) {
+TEST(CompressedStreamTest, DecodeOfGarbageIsEmptyNotFatal) {
   uint8_t Garbage[64];
   for (size_t I = 0; I != sizeof(Garbage); ++I)
     Garbage[I] = static_cast<uint8_t>(0xf0 | I); // Invalid kinds/flags.
-  PartialDecode P =
-      decompressEventStreamPartial(Garbage, sizeof(Garbage), 0);
-  EXPECT_FALSE(P.Complete);
-  EXPECT_TRUE(P.Events.empty());
-  EXPECT_EQ(P.BytesConsumed, 0u);
+  std::vector<EventRecord> Events;
+  EXPECT_EQ(decompressEventStreamInto(Garbage, sizeof(Garbage), 0, Events),
+            0u);
+  EXPECT_TRUE(Events.empty());
 }
 
 TEST(CompressedStreamTest, VarintOverrunIsRejectedNotOverread) {
@@ -193,17 +206,17 @@ TEST(CompressedStreamTest, VarintOverrunIsRejectedNotOverread) {
   Evil.push_back(0x01); // Kind = Read.
   for (int I = 0; I != 32; ++I)
     Evil.push_back(0xff); // Endless varint continuation.
-  EXPECT_FALSE(decompressEventStream(Evil.data(), Evil.size(), 0));
-  PartialDecode P = decompressEventStreamPartial(Evil.data(), Evil.size(), 0);
-  EXPECT_FALSE(P.Complete);
-  EXPECT_TRUE(P.Events.empty());
+  std::vector<EventRecord> Events;
+  EXPECT_EQ(decompressEventStreamInto(Evil.data(), Evil.size(), 0, Events),
+            0u);
+  EXPECT_TRUE(Events.empty());
 }
 
 TEST(CompressedStreamTest, UnknownHeaderFlagBitsAreRejected) {
   // Only the low kind nibble and the has-mask flag are defined; anything
   // else is a future extension the current decoder must not guess at.
   uint8_t Evil[] = {0x41, 0x00, 0x00, 0x00}; // Kind 1 + undefined bit 6.
-  EXPECT_FALSE(decompressEventStream(Evil, sizeof(Evil), 0));
+  EXPECT_FALSE(decodeWhole(Evil, sizeof(Evil), 0));
 }
 
 /// Returns a value near \p Prev or anywhere in the 64-bit range, so the
@@ -255,7 +268,7 @@ TEST(CompressedStreamTest, SeededRandomStreamsRoundTripExactly) {
     const std::vector<EventRecord> Stream = randomCodecStream(Rng, Tid);
     std::vector<uint8_t> Out;
     compressEventStream(Stream, Out);
-    auto Back = decompressEventStream(Out.data(), Out.size(), Tid);
+    auto Back = decodeWhole(Out.data(), Out.size(), Tid);
     ASSERT_TRUE(Back.has_value()) << "trial " << Trial;
     ASSERT_TRUE(streamsEqual(*Back, Stream)) << "trial " << Trial;
   }
@@ -263,8 +276,8 @@ TEST(CompressedStreamTest, SeededRandomStreamsRoundTripExactly) {
 
 TEST(CompressedStreamTest, MutatedStreamsDecodeAConsistentPrefix) {
   // Bit flips, truncation, splices and duplicated bytes: whatever the
-  // damage, the three decode entry points agree on one clean prefix,
-  // never read past the input, and never touch the caller's records.
+  // damage, the decoder keeps one clean prefix, never reads past the
+  // input, and never touches the caller's records.
   SplitMix64 Rng(0xbadc0ded);
   for (int Trial = 0; Trial != 2000; ++Trial) {
     std::vector<uint8_t> Bytes;
@@ -316,17 +329,6 @@ TEST(CompressedStreamTest, MutatedStreamsDecodeAConsistentPrefix) {
     const std::vector<EventRecord> Decoded(Out.begin() + Prefix.size(),
                                            Out.end());
 
-    const PartialDecode Partial =
-        decompressEventStreamPartial(Data.get(), Size, 1);
-    EXPECT_EQ(Partial.BytesConsumed, Used);
-    EXPECT_EQ(Partial.Complete, Used == Size);
-    EXPECT_TRUE(streamsEqual(Partial.Events, Decoded));
-
-    const auto Strict = decompressEventStream(Data.get(), Size, 1);
-    ASSERT_EQ(Strict.has_value(), Used == Size);
-    if (Strict) {
-      EXPECT_TRUE(streamsEqual(*Strict, Decoded));
-    }
 
     // Every consumed byte belongs to a decoded record: one more record,
     // encoded against the decoded records' delta state, appends cleanly.
@@ -346,7 +348,7 @@ TEST(CompressedStreamTest, MutatedStreamsDecodeAConsistentPrefix) {
     Extended.insert(Extended.end(), After.begin() + Before.size(),
                     After.end());
     const auto Clean =
-        decompressEventStream(Extended.data(), Extended.size(), 1);
+        decodeWhole(Extended.data(), Extended.size(), 1);
     ASSERT_TRUE(Clean.has_value());
     EXPECT_TRUE(streamsEqual(*Clean, Longer));
   }
@@ -454,72 +456,16 @@ TEST(CompressedStreamTest, WorstCaseRecordFillsTheBoundExactly) {
   R.Mask = 0xffff;
   std::vector<uint8_t> Out;
   EXPECT_EQ(compressEventStream(&R, 1, Out), MaxEncodedRecordBytes);
-  auto Back = decompressEventStream(Out.data(), Out.size(), 0);
+  auto Back = decodeWhole(Out.data(), Out.size(), 0);
   ASSERT_TRUE(Back.has_value());
   ASSERT_EQ(Back->size(), 1u);
   EXPECT_TRUE(recordsEqual((*Back)[0], R));
 }
 
-TEST(CompressedFileSinkTest, ReaderRejectsOversizedStreamHeaders) {
-  // Craft a file whose per-thread size field claims more bytes than the
-  // file holds; the reader must bound allocations by the actual size.
-  std::string Path = tempPath("compressed_oversize.bin");
-  {
-    LogBuilder B(16);
-    B.onThread(0).write(0x10, makePc(1, 1));
-    CompressedFileSink Sink(Path, 16);
-    Trace T = B.build();
-    Sink.writeChunk(0, T.PerThread[0].data(), T.PerThread[0].size());
-    ASSERT_TRUE(Sink.close());
-  }
-  std::FILE *F = std::fopen(Path.c_str(), "rb+");
-  ASSERT_NE(F, nullptr);
-  // Layout: u64 magic, u32 counters, u32 numThreads, then u64 stream size.
-  std::fseek(F, 16, SEEK_SET);
-  const uint64_t Huge = ~0ull >> 8;
-  std::fwrite(&Huge, sizeof(Huge), 1, F);
-  std::fclose(F);
-  EXPECT_FALSE(readCompressedTraceFile(Path).has_value());
-  std::remove(Path.c_str());
-}
-
-TEST(CompressedFileSinkTest, FullFileRoundTrip) {
-  std::string Path = tempPath("compressed_roundtrip.bin");
-  LogBuilder B(32);
-  SyncVar M = makeSyncVar(SyncObjectKind::Mutex, 0x100);
-  B.onThread(0).lock(M).write(0x10, makePc(1, 1), 0x8001).unlock(M);
-  B.onThread(1).lock(M).read(0x10, makePc(2, 2), 0x8000).unlock(M);
-  Trace T = B.build();
-  {
-    CompressedFileSink Sink(Path, 32);
-    for (ThreadId Tid = 0; Tid != T.PerThread.size(); ++Tid)
-      Sink.writeChunk(Tid, T.PerThread[Tid].data(),
-                      T.PerThread[Tid].size());
-    EXPECT_TRUE(Sink.close());
-    EXPECT_GT(Sink.compressedBytes(), 0u);
-    EXPECT_LT(Sink.compressedBytes(), T.totalEvents() * sizeof(EventRecord));
-  }
-  auto Back = readCompressedTraceFile(Path);
-  ASSERT_TRUE(Back.has_value());
-  EXPECT_TRUE(tracesEqual(T, *Back));
-  std::remove(Path.c_str());
-}
-
-TEST(CompressedFileSinkTest, MissingAndGarbageFiles) {
-  EXPECT_FALSE(readCompressedTraceFile("/nonexistent/x.bin"));
-  std::string Path = tempPath("compressed_garbage.bin");
-  std::FILE *F = std::fopen(Path.c_str(), "wb");
-  ASSERT_NE(F, nullptr);
-  std::fputs("not a compressed literace log", F);
-  std::fclose(F);
-  EXPECT_FALSE(readCompressedTraceFile(Path));
-  std::remove(Path.c_str());
-}
-
-TEST(CompressedFileSinkTest, WorkloadTraceShrinksAndDetectsIdentically) {
-  // End to end: run a real workload into the compressed sink, read it
-  // back, and verify (a) compression actually saves space and (b) the
-  // detector sees exactly the same races as on the in-memory trace.
+TEST(CompressedSegmentsTest, WorkloadTraceShrinksAndDetectsIdentically) {
+  // End to end: write a real workload trace as v2z, read it back, and
+  // verify (a) compression actually saves space and (b) the detector sees
+  // exactly the same races as on the in-memory trace.
   std::string Path = tempPath("compressed_workload.bin");
   auto W = makeWorkload(WorkloadKind::Channel);
   WorkloadParams Params;
@@ -529,23 +475,26 @@ TEST(CompressedFileSinkTest, WorkloadTraceShrinksAndDetectsIdentically) {
   RaceReport RefReport;
   ASSERT_TRUE(detectRaces(Reference.TraceData, RefReport));
 
-  // Re-encode the reference trace through the compressed file format.
   {
-    CompressedFileSink Sink(Path, 128);
+    SegmentedFileSink::Options Opts;
+    Opts.Compress = true;
+    SegmentedFileSink Sink(Path, 128, Opts);
     for (ThreadId Tid = 0; Tid != Reference.TraceData.PerThread.size();
          ++Tid)
       Sink.writeChunk(Tid, Reference.TraceData.PerThread[Tid].data(),
                       Reference.TraceData.PerThread[Tid].size());
     ASSERT_TRUE(Sink.close());
-    uint64_t Raw = Reference.TraceData.totalEvents() * sizeof(EventRecord);
-    EXPECT_LT(Sink.compressedBytes() * 2, Raw)
-        << "expected at least 2x compression on a real trace";
   }
-  auto Back = readCompressedTraceFile(Path);
-  ASSERT_TRUE(Back.has_value());
-  ASSERT_TRUE(tracesEqual(Reference.TraceData, *Back));
+  struct stat St;
+  ASSERT_EQ(::stat(Path.c_str(), &St), 0);
+  const uint64_t Raw = Reference.TraceData.totalEvents() * sizeof(EventRecord);
+  EXPECT_LT(static_cast<uint64_t>(St.st_size) * 2, Raw)
+      << "expected at least 2x compression on a real trace";
+  TraceReadResult Back = readTrace(Path);
+  ASSERT_EQ(Back.Status, TraceReadStatus::Ok) << Back.Error;
+  ASSERT_TRUE(tracesEqual(Reference.TraceData, Back.T));
   RaceReport BackReport;
-  ASSERT_TRUE(detectRaces(*Back, BackReport));
+  ASSERT_TRUE(detectRaces(Back.T, BackReport));
   EXPECT_EQ(BackReport.keys(), RefReport.keys());
   std::remove(Path.c_str());
 }

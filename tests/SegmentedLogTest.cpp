@@ -26,6 +26,7 @@
 #include <cstring>
 #include <fcntl.h>
 #include <gtest/gtest.h>
+#include <map>
 #include <string>
 #include <sys/stat.h>
 #include <thread>
@@ -54,12 +55,29 @@ std::vector<uint8_t> readFileBytes(const std::string &Path) {
   return Bytes;
 }
 
+/// Makes \p Path hold exactly Data[0, Size): overwrites it in place, then
+/// cuts it to \p Size. The sweeps below rewrite one file thousands of
+/// times, and truncating it to zero on every open would free and
+/// reallocate its blocks each time; on a filesystem mounted with
+/// `discard` every such truncate waits on a synchronous block discard.
 void writeFileBytes(const std::string &Path, const uint8_t *Data,
                     size_t Size) {
-  std::FILE *F = std::fopen(Path.c_str(), "wb");
-  ASSERT_NE(F, nullptr) << Path;
-  ASSERT_EQ(std::fwrite(Data, 1, Size, F), Size);
-  std::fclose(F);
+  const int Fd = ::open(Path.c_str(), O_WRONLY | O_CREAT | O_CLOEXEC, 0644);
+  ASSERT_GE(Fd, 0) << Path;
+  size_t Done = 0;
+  while (Done < Size) {
+    const ssize_t N = ::pwrite(Fd, Data + Done, Size - Done,
+                               static_cast<off_t>(Done));
+    if (N < 0 && errno == EINTR)
+      continue;
+    if (N <= 0)
+      break;
+    Done += static_cast<size_t>(N);
+  }
+  const bool Cut = ::ftruncate(Fd, static_cast<off_t>(Size)) == 0;
+  ::close(Fd);
+  ASSERT_EQ(Done, Size) << Path;
+  ASSERT_TRUE(Cut) << Path;
 }
 
 /// Writes \p T through a SegmentedFileSink in round-robin chunks of
@@ -323,62 +341,53 @@ TEST(SegmentedLogTest, StrictModeRefusesAnyImperfection) {
   std::remove(Path.c_str());
 }
 
-TEST(SegmentedLogTest, LegacyV1FormatsReadThroughReadTrace) {
-  Trace T = buildRacyTrace();
-  std::string RawPath = tempPath("v1_raw.bin");
-  {
-    FileSink Sink(RawPath, T.NumTimestampCounters);
-    ASSERT_TRUE(Sink.ok());
-    for (size_t Tid = 0; Tid != T.PerThread.size(); ++Tid)
-      Sink.writeChunk(static_cast<ThreadId>(Tid), T.PerThread[Tid].data(),
-                      T.PerThread[Tid].size());
-    Sink.close();
-  }
-  TraceReadResult Raw = readTrace(RawPath);
-  ASSERT_EQ(Raw.Status, TraceReadStatus::Ok) << Raw.Error;
-  EXPECT_EQ(Raw.Stats.Format, TraceFormat::V1Raw);
-  EXPECT_EQ(Raw.T.totalEvents(), T.totalEvents());
-  EXPECT_EQ(Raw.Stats.MemoryEvents, T.memoryOps());
-  EXPECT_EQ(Raw.Stats.SyncEvents, T.syncOps());
+// The retired v1 formats (an unframed chunk stream and whole-file
+// per-thread compressed streams) are refused by their headers: Unreadable
+// with a message to re-record, not scanned for frames. Built by hand, as
+// no sink writes them any more.
+TEST(SegmentedLogTest, RetiredV1FilesReadAsUnreadable) {
+  const Trace T = buildRacyTrace();
+  const std::vector<EventRecord> &Stream = T.PerThread[0];
+  const auto Append = [](std::vector<uint8_t> &Out, const void *Data,
+                         size_t Size) {
+    const auto *P = static_cast<const uint8_t *>(Data);
+    Out.insert(Out.end(), P, P + Size);
+  };
+  // v1 raw: FileHeader with version 1, then {tid, count} + records.
+  std::vector<uint8_t> RawBytes;
+  const uint64_t FileMagic = 0x4C695465526163ULL;
+  const uint32_t RawHeader[2] = {1, T.NumTimestampCounters};
+  const uint32_t Chunk[2] = {0, static_cast<uint32_t>(Stream.size())};
+  Append(RawBytes, &FileMagic, sizeof(FileMagic));
+  Append(RawBytes, RawHeader, sizeof(RawHeader));
+  Append(RawBytes, Chunk, sizeof(Chunk));
+  Append(RawBytes, Stream.data(), Stream.size() * sizeof(EventRecord));
+  // v1 compressed: its own magic, counters, thread count, then one
+  // size-prefixed encoded stream per thread.
+  std::vector<uint8_t> CompressedBytes;
+  const uint64_t CompressedMagic = 0x4C52436F6D7001ULL;
+  const uint32_t CompressedHeader[2] = {T.NumTimestampCounters, 1};
+  std::vector<uint8_t> Encoded;
+  compressEventStream(Stream, Encoded);
+  const uint64_t EncodedSize = Encoded.size();
+  Append(CompressedBytes, &CompressedMagic, sizeof(CompressedMagic));
+  Append(CompressedBytes, CompressedHeader, sizeof(CompressedHeader));
+  Append(CompressedBytes, &EncodedSize, sizeof(EncodedSize));
+  Append(CompressedBytes, Encoded.data(), Encoded.size());
 
-  std::string ZPath = tempPath("v1_compressed.bin");
-  {
-    CompressedFileSink Sink(ZPath, T.NumTimestampCounters);
-    for (size_t Tid = 0; Tid != T.PerThread.size(); ++Tid)
-      Sink.writeChunk(static_cast<ThreadId>(Tid), T.PerThread[Tid].data(),
-                      T.PerThread[Tid].size());
-    ASSERT_TRUE(Sink.close());
+  const std::string Path = tempPath("v1_retired.bin");
+  for (const std::vector<uint8_t> *Bytes : {&RawBytes, &CompressedBytes}) {
+    const std::string Where = Bytes == &RawBytes ? "v1 raw" : "v1 compressed";
+    writeFileBytes(Path, Bytes->data(), Bytes->size());
+    const TraceReadResult R = readTrace(Path);
+    EXPECT_EQ(R.Status, TraceReadStatus::Unreadable) << Where;
+    EXPECT_EQ(R.Stats.Format, TraceFormat::Unknown) << Where;
+    EXPECT_TRUE(R.T.PerThread.empty()) << Where;
+    EXPECT_NE(R.Error.find("v1 trace format"), std::string::npos)
+        << Where << ": " << R.Error;
+    EXPECT_NE(R.Error.find("re-record"), std::string::npos)
+        << Where << ": " << R.Error;
   }
-  TraceReadResult Z = readTrace(ZPath);
-  ASSERT_EQ(Z.Status, TraceReadStatus::Ok) << Z.Error;
-  EXPECT_EQ(Z.Stats.Format, TraceFormat::V1Compressed);
-  EXPECT_EQ(Z.T.totalEvents(), T.totalEvents());
-  EXPECT_EQ(Z.Stats.MemoryEvents, T.memoryOps());
-  EXPECT_EQ(Z.Stats.SyncEvents, T.syncOps());
-
-  std::remove(RawPath.c_str());
-  std::remove(ZPath.c_str());
-}
-
-TEST(SegmentedLogTest, TruncatedV1FileSalvagesTheChunkPrefix) {
-  Trace T = buildRacyTrace();
-  std::string Path = tempPath("v1_truncated.bin");
-  {
-    FileSink Sink(Path, T.NumTimestampCounters);
-    for (size_t Tid = 0; Tid != T.PerThread.size(); ++Tid)
-      Sink.writeChunk(static_cast<ThreadId>(Tid), T.PerThread[Tid].data(),
-                      T.PerThread[Tid].size());
-    Sink.close();
-  }
-  std::vector<uint8_t> Full = readFileBytes(Path);
-  // Strict v1 reader refuses the truncation; salvage keeps the prefix.
-  writeFileBytes(Path, Full.data(), Full.size() - 8);
-  EXPECT_FALSE(readTraceFile(Path).has_value());
-  TraceReadResult R = readTrace(Path);
-  ASSERT_EQ(R.Status, TraceReadStatus::Salvaged);
-  EXPECT_TRUE(R.Stats.TruncatedTail);
-  EXPECT_GT(R.Stats.EventsRecovered, 0u);
-  EXPECT_LT(R.Stats.EventsRecovered, T.totalEvents());
   std::remove(Path.c_str());
 }
 
@@ -509,14 +518,14 @@ void expectSameStats(const TraceReadStats &A, const TraceReadStats &B,
   EXPECT_EQ(A.EventsDroppedByWriter, B.EventsDroppedByWriter) << Where;
   EXPECT_EQ(A.FooterTotalsMismatch, B.FooterTotalsMismatch) << Where;
   EXPECT_EQ(A.SalvagedHeader, B.SalvagedHeader) << Where;
-  EXPECT_EQ(A.PerThreadRecovered, B.PerThreadRecovered) << Where;
   EXPECT_EQ(A.PerThreadDropped, B.PerThreadDropped) << Where;
 }
 
 // readTrace() and SegmentStreamDecoder run one frame loop; seeded
 // mutations of small v2 and v2z files (bit flips, truncation, splices,
-// duplicated frames) must leave them agreeing exactly on stats and
-// records, and every byte must be accounted as recovered or dropped.
+// duplicated frames) must leave them agreeing exactly on stats, on the
+// per-thread record streams and on the per-thread dropped segments, and
+// every byte must be accounted as recovered or dropped.
 TEST(SegmentedLogTest, MutatedFilesDecodeIdenticallyInBothReaders) {
   const std::string Path = tempPath("seg_mutation_base.bin");
   const std::string MutPath = tempPath("seg_mutation.bin");
@@ -545,9 +554,10 @@ TEST(SegmentedLogTest, MutatedFilesDecodeIdenticallyInBothReaders) {
                     (D.headerSeen() && !DS.SalvagedHeader ? 16 : 0),
                 Bytes.size())
           << Where;
-      // A flipped version field reads as v1, and a file with no intact
-      // frame is unreadable; the decoder knows only v2, so those two
-      // have nothing to agree on.
+      // A header mutated into a retired v1 header is refused, and a file
+      // with no intact frame is unreadable; the decoder has no file
+      // header check to refuse with, so those two have nothing to agree
+      // on.
       if (R.Stats.Format != TraceFormat::V2Segmented)
         continue;
       ++Compared;
@@ -929,8 +939,7 @@ TEST(SegmentedLogTest, RawFrameWithBadCrcOrBadKindDropsExactlyThatFrame) {
     EXPECT_EQ(R.Stats.EventsRecovered, T.totalEvents() - 8) << Where;
     EXPECT_TRUE(R.Stats.CleanShutdown) << Where;
     EXPECT_FALSE(R.Stats.TruncatedTail) << Where;
-    std::vector<uint64_t> Dropped(T.PerThread.size(), 0);
-    Dropped[Victim.Tid] = 1;
+    const std::map<uint32_t, uint64_t> Dropped{{Victim.Tid, 1}};
     EXPECT_EQ(R.Stats.PerThreadDropped, Dropped) << Where;
     EXPECT_TRUE(sameStreams(R.T.PerThread, Expected)) << Where;
     expectCountsMatchWalks(R, Where);

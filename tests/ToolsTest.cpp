@@ -438,18 +438,50 @@ TEST(ToolsTest, ReportMetricsFlagWritesSnapshot) {
   std::remove(TraceOut.c_str());
 }
 
-TEST(ToolsTest, V1FormatFlagKeepsTheLegacyPipelineWorking) {
-  std::string Log = tempLog();
-  auto [RunCode, RunOut] = runCommand(toolPath("literace-run") +
-                                      " channel " + Log +
-                                      " --mode full --scale 0.05 --format v1");
-  ASSERT_EQ(RunCode, 0) << RunOut;
-  EXPECT_NE(RunOut.find("(v1)"), std::string::npos);
-  auto [RepCode, RepOut] =
-      runCommand(toolPath("literace-report") + " " + Log + " --quiet");
-  EXPECT_EQ(RepCode, 3) << RepOut;
-  // A clean v1 log needs no salvaging.
-  EXPECT_EQ(RepOut.find("salvaged"), std::string::npos) << RepOut;
+// v1 is no longer written: asking for it is a usage error, with or
+// without a collector connection, and records nothing.
+TEST(ToolsTest, V1FormatFlagIsAUsageError) {
+  const std::string Log = tempLog();
+  std::remove(Log.c_str());
+  for (const char *Extra : {"", " --connect /tmp/nowhere.sock"}) {
+    auto [Code, Out] =
+        runCommand(toolPath("literace-run") + " channel " + Log +
+                   " --scale 0.05 --format v1" + Extra);
+    EXPECT_EQ(Code, 2) << Out;
+    EXPECT_NE(Out.find("unknown format 'v1'"), std::string::npos) << Out;
+    EXPECT_NE(Out.find("usage:"), std::string::npos) << Out;
+    struct stat St;
+    EXPECT_NE(::stat(Log.c_str(), &St), 0) << "a log was written";
+  }
+}
+
+// Files in the retired v1 formats, built by hand (a header and one
+// record): both tools refuse them as unreadable, naming the format.
+TEST(ToolsTest, FsckAndReportRefuseRetiredV1Files) {
+  const std::string Log = tempLog();
+  const uint64_t RawMagic = 0x4C695465526163ULL;
+  const uint64_t CompressedMagic = 0x4C52436F6D7001ULL;
+  const uint32_t RawHeader[2] = {1, 128};        // version, counters
+  const uint32_t CompressedHeader[2] = {128, 1}; // counters, threads
+  for (const bool Compressed : {false, true}) {
+    const std::string Where = Compressed ? "v1 compressed" : "v1 raw";
+    std::FILE *F = std::fopen(Log.c_str(), "wb");
+    ASSERT_NE(F, nullptr);
+    std::fwrite(Compressed ? &CompressedMagic : &RawMagic, 8, 1, F);
+    std::fwrite(Compressed ? CompressedHeader : RawHeader, 8, 1, F);
+    const uint8_t Body[40] = {}; // a chunk header and one zero record
+    std::fwrite(Body, 1, sizeof(Body), F);
+    std::fclose(F);
+    auto [FsckCode, FsckOut] =
+        runCommand(toolPath("literace-fsck") + " " + Log);
+    EXPECT_EQ(FsckCode, 1) << Where << ": " << FsckOut;
+    EXPECT_NE(FsckOut.find("unreadable"), std::string::npos) << FsckOut;
+    EXPECT_NE(FsckOut.find("v1 trace format"), std::string::npos) << FsckOut;
+    auto [RepCode, RepOut] =
+        runCommand(toolPath("literace-report") + " " + Log);
+    EXPECT_EQ(RepCode, 1) << Where << ": " << RepOut;
+    EXPECT_NE(RepOut.find("v1 trace format"), std::string::npos) << RepOut;
+  }
   std::remove(Log.c_str());
 }
 
@@ -515,7 +547,7 @@ TEST(ToolsTest, ReportStatsTimesEveryStage) {
 }
 
 TEST(ToolsTest, FsckPassesCleanLogsOfEveryFormat) {
-  for (const char *Format : {"v1", "v2", "v2z"}) {
+  for (const char *Format : {"v2", "v2z"}) {
     std::string Log = tempLog();
     ASSERT_EQ(runCommand(toolPath("literace-run") + " channel " + Log +
                          " --scale 0.05 --format " + Format)
@@ -1083,16 +1115,6 @@ TEST(CollectdEndToEnd, SuppressionFileSilencesTheRaces) {
   std::remove((Log + ".metrics.json").c_str());
   std::remove(SuppPath.c_str());
   std::remove(DaemonLog.c_str());
-}
-
-TEST(CollectdEndToEnd, RejectsV1FormatWithConnect) {
-  auto [Code, Out] =
-      runCommand(toolPath("literace-run") + " channel /tmp/x.bin" +
-                 " --format v1 --connect /tmp/nowhere.sock");
-  EXPECT_EQ(Code, 2);
-  EXPECT_NE(Out.find("cannot be combined with --format v1"),
-            std::string::npos)
-      << Out;
 }
 
 TEST(ToolsTest, StatPrometheusFlagEmitsValidExposition) {

@@ -33,6 +33,7 @@
 #include "collector/Checkpoint.h"
 #include "runtime/EventLog.h"
 
+#include <algorithm>
 #include <cstdio>
 #include <cstring>
 #include <string>
@@ -278,10 +279,17 @@ int main(int Argc, char **Argv) {
       std::printf("  footer totals:  disagree with recovered contents\n");
     if (S.SalvagedHeader)
       std::printf("  file header:    damaged (segments found by scan)\n");
-    for (size_t T = 0; T != S.PerThreadRecovered.size(); ++T) {
-      const uint64_t Rec = S.PerThreadRecovered[T];
+    // Every thread with recovered events or dropped segments, in id order.
+    const std::vector<std::vector<EventRecord>> &Streams = Read.T.PerThread;
+    const size_t Threads = std::max<size_t>(
+        Streams.size(), S.PerThreadDropped.empty()
+                            ? 0
+                            : S.PerThreadDropped.rbegin()->first + 1);
+    for (size_t T = 0; T != Threads; ++T) {
+      const uint64_t Rec = T < Streams.size() ? Streams[T].size() : 0;
+      const auto Dropped = S.PerThreadDropped.find(static_cast<uint32_t>(T));
       const uint64_t Drop =
-          T < S.PerThreadDropped.size() ? S.PerThreadDropped[T] : 0;
+          Dropped == S.PerThreadDropped.end() ? 0 : Dropped->second;
       if (Rec == 0 && Drop == 0)
         continue;
       std::printf("  thread %-3zu      %llu event(s)%s", T,

@@ -2,12 +2,13 @@
 //
 // Part of the LiteRace reproduction project. MIT license.
 //
-// The "analyzer side" of the paper's offline workflow (§4.4): reads a log
-// file produced by literace-run (or any FileSink user), replays it, and
-// reports data races. Three detector backends are available: the default
-// vector-clock happens-before detector, the FastTrack-style epoch
-// detector, and the Eraser-style lockset baseline (which may report false
-// positives — it is included for comparison, as in the paper's §2).
+// The "analyzer side" of the paper's offline workflow (§4.4): reads a v2
+// or v2z log file produced by literace-run (or any SegmentedFileSink
+// user), replays it, and reports data races. Three detector backends are
+// available: the default vector-clock happens-before detector, the
+// FastTrack-style epoch detector, and the Eraser-style lockset baseline
+// (which may report false positives — it is included for comparison, as
+// in the paper's §2).
 //
 // Usage:
 //   literace-report <log.bin> [--detector hb|fasttrack|lockset]
@@ -195,8 +196,7 @@ int main(int Argc, char **Argv) {
     }
   }
 
-  // Accept every on-disk format transparently; salvage damaged files
-  // unless --strict.
+  // v2 and v2z read alike; salvage damaged files unless --strict.
   TraceReadOptions ReadOpts;
   ReadOpts.Salvage = Salvage;
   ReadStage.start();

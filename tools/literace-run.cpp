@@ -15,7 +15,7 @@
 //
 // Usage:
 //   literace-run <workload> <out.bin> [--mode <mode>] [--scale <x>]
-//                [--seed <n>] [--elide] [--no-elide] [--format v1|v2|v2z]
+//                [--seed <n>] [--elide] [--no-elide] [--format v2|v2z]
 //                [--flush sync|async] [--flush-policy block|drop]
 //                [--kill-after-bytes <n>] [--abort-after-bytes <n>]
 //                [--connect <socket>]
@@ -27,8 +27,8 @@
 //   --elide     run the pre-execution static analysis and skip logging
 //               for sites it proves race-free (see literace-analyze)
 //   --no-elide  escape hatch: force elision off even with --elide
-//   --format    v2 (default, segmented+checksummed), v2z (segmented with
-//               compressed payloads), v1 (legacy unframed FileSink)
+//   --format    v2 (default, segmented+checksummed) or v2z (segmented
+//               with compressed payloads)
 //   --flush     sync (default): application threads write to the file
 //               sink directly. async: chunks are handed to a bounded
 //               queue and a dedicated flusher thread pays for framing,
@@ -54,7 +54,7 @@
 //               a resume handshake, so the delivered stream stays byte-
 //               identical. Loss happens only when the spool cap is hit,
 //               and every shed byte is accounted in the metrics sidecar
-//               (sink.tee.*). Requires --format v2/v2z.
+//               (sink.tee.*).
 //   --connect-strict
 //               exit 1 when any streamed byte was lost (spool-cap trims
 //               or an undrained tail at exit); without it loss only
@@ -112,7 +112,7 @@ int usage(const char *Argv0) {
       stderr,
       "usage: %s <workload> <out.bin> [--mode sync|literace|full]\n"
       "          [--scale <x>] [--seed <n>] [--elide] [--no-elide]\n"
-      "          [--format v1|v2|v2z] [--flush sync|async]\n"
+      "          [--format v2|v2z] [--flush sync|async]\n"
       "          [--flush-policy block|drop] [--kill-after-bytes <n>]\n"
       "          [--abort-after-bytes <n>] [--connect <socket>]\n"
       "          [--connect-strict] [--connect-spool <path>]\n"
@@ -220,7 +220,7 @@ int main(int Argc, char **Argv) {
       Mode = *Parsed;
     } else if (Arg == "--format" && I + 1 < Argc) {
       Format = Argv[++I];
-      if (Format != "v1" && Format != "v2" && Format != "v2z") {
+      if (Format != "v2" && Format != "v2z") {
         std::fprintf(stderr, "error: unknown format '%s'\n", Format.c_str());
         return usage(Argv[0]);
       }
@@ -274,83 +274,65 @@ int main(int Argc, char **Argv) {
     }
   }
 
-  // Pick the sink. v2 is the default: its frames are checksummed and
-  // durable as written, so a crash costs at most the events still in
-  // per-thread buffers (docs/ROBUSTNESS.md).
-  std::unique_ptr<FileSink> V1;
+  // The sink: v2 frames are checksummed and durable as written, so a
+  // crash costs at most the events still in per-thread buffers
+  // (docs/ROBUSTNESS.md).
   std::unique_ptr<SegmentedFileSink> V2;
   std::unique_ptr<AsyncLogSink> Async;
   std::unique_ptr<FileByteOutput> FileOut;
   std::unique_ptr<SocketByteOutput> SocketOut;
   std::unique_ptr<SpoolingSocketOutput> SpoolOut;
   std::unique_ptr<TeeByteOutput> Tee;
-  LogSink *Sink = nullptr;
-  if (!ConnectPath.empty() && Format == "v1") {
-    std::fprintf(stderr,
-                 "error: --connect streams the v2 segmented format; "
-                 "it cannot be combined with --format v1\n");
-    return 2;
-  }
-  if (Format == "v1") {
-    V1 = std::make_unique<FileSink>(OutPath, /*NumTimestampCounters=*/128);
-    if (!V1->ok()) {
+  SegmentedFileSink::Options SinkOpts;
+  SinkOpts.Compress = (Format == "v2z");
+  if (!ConnectPath.empty()) {
+    // Tee the exact byte stream to the collector: the file stays
+    // authoritative (its WriteResult governs retries), and only
+    // file-accepted bytes are forwarded, so daemon and disk see
+    // byte-identical v2 streams.
+    FileOut = std::make_unique<FileByteOutput>(OutPath);
+    if (!FileOut->ok()) {
       std::fprintf(stderr, "error: cannot open '%s' for writing\n",
                    OutPath.c_str());
       return 1;
     }
-    Sink = V1.get();
-  } else {
-    SegmentedFileSink::Options SinkOpts;
-    SinkOpts.Compress = (Format == "v2z");
-    if (!ConnectPath.empty()) {
-      // Tee the exact byte stream to the collector: the file stays
-      // authoritative (its WriteResult governs retries), and only
-      // file-accepted bytes are forwarded, so daemon and disk see
-      // byte-identical v2 streams.
-      FileOut = std::make_unique<FileByteOutput>(OutPath);
-      if (!FileOut->ok()) {
-        std::fprintf(stderr, "error: cannot open '%s' for writing\n",
-                     OutPath.c_str());
+    ByteOutput *Secondary = nullptr;
+    if (ConnectLegacy) {
+      SocketOut = std::make_unique<SocketByteOutput>(ConnectPath);
+      if (!SocketOut->ok()) {
+        std::fprintf(stderr,
+                     "error: cannot connect to collector socket '%s'\n",
+                     ConnectPath.c_str());
         return 1;
       }
-      ByteOutput *Secondary = nullptr;
-      if (ConnectLegacy) {
-        SocketOut = std::make_unique<SocketByteOutput>(ConnectPath);
-        if (!SocketOut->ok()) {
-          std::fprintf(stderr,
-                       "error: cannot connect to collector socket '%s'\n",
-                       ConnectPath.c_str());
-          return 1;
-        }
-        Secondary = SocketOut.get();
-      } else {
-        // Fault-tolerant transport: the stream survives torn connections
-        // and daemon restarts via the on-disk spool and the resume
-        // handshake; a daemon that never appears only costs the spool.
-        SpoolingSocketOutput::Options SpoolOpts;
-        SpoolOpts.SocketPath = ConnectPath;
-        SpoolOpts.SpoolPath = ConnectSpoolPath.empty()
-                                  ? OutPath + ".spool"
-                                  : ConnectSpoolPath;
-        SpoolOpts.SpoolCapBytes = ConnectSpoolCap;
-        SpoolOpts.DrainDeadlineMs = ConnectDrainMs;
-        SpoolOpts.JitterSeed = Params.Seed + 1;
-        SpoolOut = std::make_unique<SpoolingSocketOutput>(
-            std::move(SpoolOpts));
-        Secondary = SpoolOut.get();
-      }
-      Tee = std::make_unique<TeeByteOutput>(*FileOut, *Secondary);
-      SinkOpts.Output = Tee.get();
+      Secondary = SocketOut.get();
+    } else {
+      // Fault-tolerant transport: the stream survives torn connections
+      // and daemon restarts via the on-disk spool and the resume
+      // handshake; a daemon that never appears only costs the spool.
+      SpoolingSocketOutput::Options SpoolOpts;
+      SpoolOpts.SocketPath = ConnectPath;
+      SpoolOpts.SpoolPath = ConnectSpoolPath.empty()
+                                ? OutPath + ".spool"
+                                : ConnectSpoolPath;
+      SpoolOpts.SpoolCapBytes = ConnectSpoolCap;
+      SpoolOpts.DrainDeadlineMs = ConnectDrainMs;
+      SpoolOpts.JitterSeed = Params.Seed + 1;
+      SpoolOut = std::make_unique<SpoolingSocketOutput>(
+          std::move(SpoolOpts));
+      Secondary = SpoolOut.get();
     }
-    V2 = std::make_unique<SegmentedFileSink>(
-        OutPath, /*NumTimestampCounters=*/128, SinkOpts);
-    if (!V2->ok()) {
-      std::fprintf(stderr, "error: cannot open '%s' for writing\n",
-                   OutPath.c_str());
-      return 1;
-    }
-    Sink = V2.get();
+    Tee = std::make_unique<TeeByteOutput>(*FileOut, *Secondary);
+    SinkOpts.Output = Tee.get();
   }
+  V2 = std::make_unique<SegmentedFileSink>(
+      OutPath, /*NumTimestampCounters=*/128, SinkOpts);
+  if (!V2->ok()) {
+    std::fprintf(stderr, "error: cannot open '%s' for writing\n",
+                 OutPath.c_str());
+    return 1;
+  }
+  LogSink *Sink = V2.get();
   // The durable sink, as distinct from the front the runtime writes to.
   // The fault-injection watcher below polls it so --kill-after-bytes
   // triggers on bytes the file actually accepted, not bytes queued.
@@ -419,17 +401,13 @@ int main(int Argc, char **Argv) {
                  static_cast<unsigned long long>(QS.ProducerParks));
     SinkClean = AsyncClean;
   }
-  if (V2) {
-    SinkClean = V2->close() && SinkClean;
-    if (!SinkClean)
-      std::fprintf(stderr,
-                   "warning: %llu event(s) lost before reaching the file "
-                   "(%llu retries)\n",
-                   static_cast<unsigned long long>(V2->eventsDropped()),
-                   static_cast<unsigned long long>(V2->retries()));
-  } else {
-    V1->close();
-  }
+  SinkClean = V2->close() && SinkClean;
+  if (!SinkClean)
+    std::fprintf(stderr,
+                 "warning: %llu event(s) lost before reaching the file "
+                 "(%llu retries)\n",
+                 static_cast<unsigned long long>(V2->eventsDropped()),
+                 static_cast<unsigned long long>(V2->retries()));
   uint64_t StreamLost = 0;
   if (SpoolOut) {
     // Seal the transport: drains the spool backlog (reconnecting under
